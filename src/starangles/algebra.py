@@ -288,7 +288,8 @@ def commutant_within(
     if not blocks:
         return algebra
     system = np.concatenate(blocks, axis=1).T  # (constraints*n^2, dim)
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
+    # tall (n^2 >= dim), so the thin vh still has all dim rows
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol.rank_tol * scale))
     null = np.conj(vh[rank:])

@@ -20,7 +20,7 @@ inclusions both routes reproduce the closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,15 +59,9 @@ class AngleContext:
     """Caches the shared machinery (basic construction, dual expectation,
     module bases and intermediate projections) across angle computations."""
 
-    def __init__(
-        self,
-        exp: CondExpectation,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-        m1_method: str = "closure",
-    ):
+    def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
         self.expectation = exp
         self.tol = tol
-        self._m1_method = m1_method
         self._bc: basic.BasicConstruction | None = None
         self._dual: basic.DualExpectation | None = None
         self._module: ModuleBasis | None = None
@@ -96,7 +90,7 @@ class AngleContext:
     @property
     def bc(self) -> basic.BasicConstruction:
         if self._bc is None:
-            self._bc = basic.build(self.expectation, self.tol, m1_method=self._m1_method)
+            self._bc = basic.build(self.expectation, self.tol)
             self._index = self._bc.index
             self._module = self._bc.module_basis
         return self._bc
@@ -134,7 +128,7 @@ class AngleContext:
     def upper(self) -> "AngleContext":
         """Context one floor up: the dual expectation onto lambda(A) in M1."""
         if self._upper is None:
-            self._upper = AngleContext(self.dual.expectation, self.tol, m1_method="span")
+            self._upper = AngleContext(self.dual.expectation, self.tol)
         return self._upper
 
     def first_floor(self, ci: CompatibleIntermediate) -> CompatibleIntermediate:
@@ -321,19 +315,7 @@ def exterior_angle(
         dual_exp, floor_one["P"], floor_one["Q"], path=upper_path, tol=tol, ctx=ctx.upper
     )
     provenance = f"one floor up over M1 (dim {ctx.bc.dim_m1}); {report.provenance}"
-    return AngleReport(
-        cos_value=report.cos_value,
-        angle=report.angle,
-        path=report.path,
-        per_path=report.per_path,
-        path_disagreement=report.path_disagreement,
-        numerator=report.numerator,
-        denominators=report.denominators,
-        raw_cos=report.raw_cos,
-        commuting_square=report.commuting_square,
-        commuting_residual=report.commuting_residual,
-        provenance=provenance,
-    )
+    return replace(report, provenance=provenance)
 
 
 @dataclass

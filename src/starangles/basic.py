@@ -3,12 +3,17 @@
 The big algebra, viewed as a ``d``-dimensional complex coordinate space
 (``d = dim A``) under the inner product ``<x, y> = tr(E(x* y)) / n``,
 carries left multiplication ``lambda(a)`` and the Jones projection ``e``
-implementing the expectation. The algebra generated by both is the basic
-construction; the dual expectation sends ``lambda(x) e lambda(y)`` to
+implementing the expectation. The basic construction ``M1 = <lambda(A), e>``
+is realized as the linear span of ``lambda(m_j b) e lambda(m_k)*`` over a
+module basis ``{m_j}`` and a basis of B; one thin SVD of that family gives
+both M1's orthonormal basis and the least-squares solver of the dual
+expectation, which sends ``lambda(x) e lambda(y)`` to
 ``lambda(index^{-1} x y)``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +48,18 @@ class BasicConstruction:
         self._gram_sqrt = gram_sqrt
         self._gram_inv_sqrt = gram_inv_sqrt
         self.lambda_stack = np.stack([self.lambda_of(x) for x in source.big.basis])
-        self._lambda_pinv = np.linalg.pinv(
-            self.lambda_stack.reshape(self.rep_dim, -1).T
-        )
         self.e_proj = gram_sqrt @ source.coefficient_matrix() @ gram_inv_sqrt
         self.lambda_algebra: StarAlgebra | None = None
+        self.spanning: SpanningFamily | None = None
         self.m1: StarAlgebra | None = None
 
     @property
-    def dim_m1(self) -> int | None:
-        return None if self.m1 is None else self.m1.dim
+    def dim_m1(self) -> int:
+        return self.m1.dim
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of an algebra element in the module picture."""
         return self._gram_sqrt @ self.source.big.coords(x)
-
-    def unphi(self, vec: np.ndarray) -> np.ndarray:
-        return self.source.big.reconstruct(self._gram_inv_sqrt @ vec)
 
     def lambda_of(self, m: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by ``m`` on the coordinates."""
@@ -68,29 +68,30 @@ class BasicConstruction:
         mult = a.coords_many(products).T
         return self._gram_sqrt @ mult @ self._gram_inv_sqrt
 
-    def lambda_inverse(
-        self, t: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> np.ndarray:
-        """Algebra element whose left-multiplication matrix is ``t``."""
-        coeffs = self._lambda_pinv @ np.asarray(t, dtype=complex).ravel()
-        recon = np.tensordot(coeffs, self.lambda_stack, axes=(0, 0))
-        resid = linalg.hs_norm(recon - t)
-        if resid > tol.eq_tol:
-            raise ArgumentError(f"matrix is not in lambda(A) (residual {resid:.3e})")
-        return self.source.big.reconstruct(coeffs)
+
+@dataclass(frozen=True)
+class SpanningFamily:
+    """The matrices ``lambda(m_j b_t) e lambda(m_k)*``, flattened as the rows
+    of ``rows``, with their prescribed dual-expectation values
+    ``index^{-1} m_j b_t m_k*`` and the rank-truncated thin SVD
+    ``rows = u diag(s) vh``. The rows of ``vh`` span M1."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
 
 
-def build(
-    exp: CondExpectation,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    m1_method: str | None = "closure",
-) -> BasicConstruction:
+def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicConstruction:
     """Build the reduced basic construction and verify its identities.
 
-    ``m1_method`` selects how the algebra M1 is realized: ``"closure"``
-    generates it from lambda(A) and e, ``"span"`` takes the linear span of
-    ``lambda(m_j b) e lambda(m_k)*`` over the module basis (the same
-    algebra, cheaper at larger coordinate dimensions), ``None`` skips it.
+    M1 is the span of ``lambda(m_j b) e lambda(m_k)*`` over the module
+    basis ``{m_j}`` and a basis of B. Its orthonormal basis comes from one
+    thin SVD of that family, kept on the result as ``spanning`` so the dual
+    expectation solves against the same factors. The span lies inside
+    ``<lambda(A), e>`` by construction; the build checks that it contains
+    every ``lambda(a)`` and ``e``, so the two algebras are equal.
     """
     a, b = exp.big, exp.small
     d = a.dim
@@ -146,35 +147,30 @@ def build(
     if cover_err > tol.eq_tol:
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
-    if m1_method == "closure":
-        bc.m1 = alg.from_generators(d, list(bc.lambda_stack) + [e_proj], tol)
-    elif m1_method == "span":
-        bc.m1 = alg.from_span(d, _spanning_family(bc)[0], tol)
-    elif m1_method is not None:
-        raise ArgumentError(f"unknown m1 construction method {m1_method!r}")
+    bc.spanning = _spanning_family(bc, tol)
+    bc.m1 = StarAlgebra(d, (bc.spanning.vh * np.sqrt(d)).reshape(-1, d, d), tol)
+    generators = np.concatenate([bc.lambda_stack, e_proj[None]])
+    contains = bc.m1._max_span_residual(generators)
+    if contains > tol.eq_tol:
+        raise ConstructionError("M1 contains lambda(A) and e", contains)
     return bc
 
 
-def _spanning_family(bc: BasicConstruction) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Spanning matrices ``lambda(m_j b_t) e lambda(m_k)*`` of M1 and the
-    prescribed dual-expectation values ``index^{-1} m_j b_t m_k*``."""
-    exp = bc.source
-    b = exp.small
-    module = bc.module_basis.elements
-    inv = bc.index.inverse()
-    lam_m = [bc.lambda_of(m) for m in module]
-    right = [bc.e_proj @ adjoint(lam) for lam in lam_m]
-    lam_b = [bc.lambda_of(x) for x in b.basis]
-    columns = []
-    values = []
-    for j in range(len(module)):
-        for t in range(b.dim):
-            left = lam_m[j] @ lam_b[t]
-            pre = inv @ module[j] @ b.basis[t]
-            for k in range(len(module)):
-                columns.append(left @ right[k])
-                values.append(pre @ adjoint(module[k]))
-    return columns, values
+def _spanning_family(bc: BasicConstruction, tol: Tolerances) -> SpanningFamily:
+    """M1's spanning family in the order ``(j, t, k)``, with its thin SVD."""
+    b = bc.source.small
+    module = np.stack(bc.module_basis.elements)
+    module_h = np.conj(module.transpose(0, 2, 1))
+    lam_m = np.stack([bc.lambda_of(m) for m in module])
+    lam_b = np.stack([bc.lambda_of(x) for x in b.basis])
+    left = lam_m[:, None] @ lam_b[None]
+    right = bc.e_proj @ np.conj(lam_m.transpose(0, 2, 1))
+    rows = (left[:, :, None] @ right).reshape(-1, bc.rep_dim**2)
+    pre = bc.index.inverse() @ module[:, None] @ b.basis[None]
+    values = (pre[:, :, None] @ module_h).reshape(-1, *module.shape[1:])
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(s > tol.rank_tol * s[0]))
+    return SpanningFamily(rows=rows, values=values, u=u[:, :rank], s=s[:rank], vh=vh[:rank])
 
 
 class DualExpectation:
@@ -186,19 +182,15 @@ class DualExpectation:
     """
 
     def __init__(self, bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES):
-        if bc.m1 is None:
-            raise ArgumentError("dual expectation needs the M1 algebra; rebuild with m1")
         self.bc = bc
         self._tol = tol
-        columns, values = _spanning_family(bc)
-        system = np.stack([c.ravel() for c in columns], axis=1)
-        u, s, vh = np.linalg.svd(system, full_matrices=False)
-        rank = int(np.sum(s > tol.rank_tol * s[0]))
-        self._u_conj = np.ascontiguousarray(np.conj(u[:, :rank]))
-        self._sinv = 1.0 / s[:rank]
-        self._vh_conj = np.ascontiguousarray(np.conj(vh[:rank]))
-        self._system_t = np.ascontiguousarray(system.T)
-        self._values = np.stack(values)
+        span = bc.spanning
+        # minimum-norm coefficients of v over the rows: v vh^H diag(1/s) u^H
+        self._vh_h = np.ascontiguousarray(adjoint(span.vh))
+        self._sinv = 1.0 / span.s
+        self._u_h = np.ascontiguousarray(adjoint(span.u))
+        self._rows = span.rows
+        self._values = span.values
         self._sqrt_d = np.sqrt(bc.rep_dim)
 
         m1_values = self.apply_many(bc.m1.basis)
@@ -216,17 +208,14 @@ class DualExpectation:
 
     def apply_many(self, stack: np.ndarray) -> np.ndarray:
         vecs = np.asarray(stack, dtype=complex).reshape(stack.shape[0], -1)
-        coeffs = ((vecs @ self._u_conj) * self._sinv) @ self._vh_conj
-        resid = np.linalg.norm(coeffs @ self._system_t - vecs, axis=1) / self._sqrt_d
+        coeffs = ((vecs @ self._vh_h) * self._sinv) @ self._u_h
+        resid = np.linalg.norm(coeffs @ self._rows - vecs, axis=1) / self._sqrt_d
         worst = float(resid.max()) if resid.size else 0.0
         if worst > self._tol.eq_tol:
             raise ArgumentError(
                 f"element is not in the basic construction's span (residual {worst:.3e})"
             )
         return np.tensordot(coeffs, self._values, axes=(1, 0))
-
-    def apply_lambda(self, t: np.ndarray) -> np.ndarray:
-        return self.bc.lambda_of(self.apply(t))
 
 
 def dual_expectation(

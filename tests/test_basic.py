@@ -54,12 +54,6 @@ class TestBuild:
         assert op_norm(bc.lambda_of(x) @ bc.lambda_of(y) - bc.lambda_of(x @ y)) < 1e-10
         assert op_norm(adjoint(bc.lambda_of(x)) - bc.lambda_of(adjoint(x))) < 1e-10
 
-    def test_lambda_inverse_roundtrip(self, s3_over_swap):
-        *_, exp, bc = s3_over_swap
-        rng = np.random.default_rng(6)
-        x = exp.big.random_element(rng)
-        assert op_norm(bc.lambda_inverse(bc.lambda_of(x)) - x) < 1e-10
-
     def test_cover_identity(self, s3_over_swap):
         *_, bc = s3_over_swap
         total = sum(
@@ -68,11 +62,22 @@ class TestBuild:
         )
         assert op_norm(total - np.eye(bc.rep_dim)) < 1e-10
 
-    def test_m1_span_method_matches_closure(self, s3_over_swap):
-        *_, exp, bc = s3_over_swap
-        bc_span = basic.build(exp, m1_method="span")
-        assert bc_span.dim_m1 == bc.dim_m1
-        assert sa.same_span(bc_span.m1, bc.m1)
+    def test_m1_matches_generated_algebra(self, s3_over_swap, suite_s3):
+        # the spanning-family M1 equals <lambda(A), e> closed under products;
+        # tensoring by M_2 makes the small algebra noncommutative
+        k = 2
+        big = sa.tensor_by_factor(suite_s3.algebra, k)
+        small = sa.tensor_by_factor(suite_s3.small, k)
+        tensored = basic.build(sa.trace_preserving(sa.Inclusion(big=big, small=small)))
+        for bc in (s3_over_swap[-1], tensored):
+            generated = sa.from_generators(bc.rep_dim, list(bc.lambda_stack) + [bc.e_proj])
+            assert sa.same_span(bc.m1, generated)
+
+    def test_m1_dimension_closed_form(self, all_suites):
+        # Jones: dim M1 = |G| [G:H] for C[H] inside C[G]
+        for suite in all_suites:
+            expected = len(suite.group) * sa.index(suite.group, suite.small_group)
+            assert suite.ctx.bc.dim_m1 == expected, suite.name
 
     def test_commutant_identity_enforced(self, all_suites):
         # build() raises unless {e}' in lambda(A) equals lambda(B) exactly
@@ -199,7 +204,7 @@ class TestSecondFloor:
         exp = trace_inclusions[2]
         bc = basic.build(exp)
         dual = basic.dual_expectation(bc)
-        bc2 = basic.build(dual.expectation, m1_method="span")
+        bc2 = basic.build(dual.expectation)
         assert bc2.rep_dim == bc.dim_m1
         wi2 = bc2.index
         # the dual of the trace inclusion again has index n^2 = 4
