@@ -83,10 +83,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
-    hs_inner,
     hs_norm,
     kron,
-    lstsq_solve,
     op_norm,
     orthonormal_span,
     psd_calculus,

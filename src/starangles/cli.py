@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -224,6 +225,8 @@ class Bundle:
     expectation: CondExpectation
     intermediates: dict[str, StarAlgebra]
     oracle_groups: tuple | None  # (G, H, K, L) when the closed form applies
+    # subgroup -> subalgebra, before tensoring; group and crossed products only
+    subalgebra: Callable[[groups.PermGroup, Tolerances], StarAlgebra] | None = None
 
 
 def _tensor(algebra: StarAlgebra, k: int, tol: Tolerances) -> StarAlgebra:
@@ -234,35 +237,25 @@ def build_bundle(scenario: Scenario) -> Bundle:
     tol = scenario.tolerances
     k = scenario.tensor_factor
     intermediates: dict[str, StarAlgebra] = {}
-    oracle = None
+    oracle = subalgebra = None
 
-    if scenario.kind == "group":
-        ga = group_algebra(scenario.group, tol)
-        big = ga.algebra
-        small = ga.subalgebra(scenario.subgroup_h, tol)
+    if scenario.kind in ("group", "crossed_product"):
+        if scenario.kind == "group":
+            built = group_algebra(scenario.group, tol)
+        else:
+            base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
+            action = action_from_generators(
+                scenario.group,
+                {g: u for g, u in scenario.action_unitaries.items()},
+            )
+            built = crossed_product(base, action, tol)
+        subalgebra = built.subalgebra
+        big = built.algebra
+        small = subalgebra(scenario.subgroup_h, tol)
         if scenario.subgroup_k is not None:
-            intermediates["K"] = ga.subalgebra(scenario.subgroup_k, tol)
+            intermediates["K"] = subalgebra(scenario.subgroup_k, tol)
         if scenario.subgroup_l is not None:
-            intermediates["L"] = ga.subalgebra(scenario.subgroup_l, tol)
-        oracle = (
-            scenario.group,
-            scenario.subgroup_h,
-            scenario.subgroup_k,
-            scenario.subgroup_l,
-        )
-    elif scenario.kind == "crossed_product":
-        base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
-        action = action_from_generators(
-            scenario.group,
-            {g: u for g, u in scenario.action_unitaries.items()},
-        )
-        cp = crossed_product(base, action, tol)
-        big = cp.algebra
-        small = cp.subalgebra(scenario.subgroup_h, tol)
-        if scenario.subgroup_k is not None:
-            intermediates["K"] = cp.subalgebra(scenario.subgroup_k, tol)
-        if scenario.subgroup_l is not None:
-            intermediates["L"] = cp.subalgebra(scenario.subgroup_l, tol)
+            intermediates["L"] = subalgebra(scenario.subgroup_l, tol)
         oracle = (
             scenario.group,
             scenario.subgroup_h,
@@ -301,9 +294,7 @@ def build_bundle(scenario: Scenario) -> Bundle:
     small = _tensor(small, k, tol)
     intermediates = {name: _tensor(m, k, tol) for name, m in intermediates.items()}
     expectation = trace_preserving(Inclusion(big=big, small=small), tol)
-    if k > 1:
-        oracle = None if oracle is None else oracle  # closed form survives tensoring
-    return Bundle(scenario, expectation, intermediates, oracle)
+    return Bundle(scenario, expectation, intermediates, oracle, subalgebra)
 
 
 # -- report helpers --------------------------------------------------------
@@ -478,7 +469,9 @@ def _cmd_verify(bundle: Bundle) -> dict:
     checks = {
         "expectation_axioms": report.passed,
         "quasi_basis_reconstruction": bool(residual < tol.eq_tol),
-        "index_positive_central": True,  # watatani_index raises otherwise
+        "index_positive_central": bool(
+            wi.centrality_residual <= tol.eq_tol and wi.min_eigenvalue > tol.rank_tol
+        ),
         "probabilistic_estimate_bounded": bool(1.0 - 1e-9 <= estimate <= wi.norm + 1e-6),
     }
     return {
@@ -494,9 +487,13 @@ def _cmd_verify(bundle: Bundle) -> dict:
             "positivity_violation": report.positivity_violation,
             "faithfulness_floor": report.faithfulness_floor,
             "hs_self_adjointness": report.hs_self_adjointness,
+            "bimodule_equations_checked": report.bimodule_checked,
+            "bimodule_equations_total": report.bimodule_total,
         },
         "index_scalar": wi.scalar,
         "index_norm": wi.norm,
+        "index_centrality_residual": wi.centrality_residual,
+        "index_min_eigenvalue": wi.min_eigenvalue,
         "probabilistic_index_estimate": estimate,
         "reconstruction_residual": residual,
     }
@@ -504,26 +501,17 @@ def _cmd_verify(bundle: Bundle) -> dict:
 
 def _cmd_lattice(bundle: Bundle, path: str, out_dir: Path, stem: str) -> dict:
     scenario = bundle.scenario
-    if scenario.kind not in ("group", "crossed_product"):
+    if bundle.subalgebra is None:
         raise ArgumentError("lattice reports need a group or crossed_product scenario")
     tol = scenario.tolerances
     g, h = scenario.group, scenario.subgroup_h
     subs = groups.intermediate_subgroups(g, h)
     proper = [m for m in subs if len(m) != len(h) and len(m) != len(g)]
 
-    if scenario.kind == "group":
-        ga = group_algebra(g, tol)
-        make_algebra = ga.subalgebra
-    else:
-        base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
-        action = action_from_generators(g, dict(scenario.action_unitaries))
-        cp = crossed_product(base, action, tol)
-        make_algebra = cp.subalgebra
-
     exp = bundle.expectation
     cis = [
         make_compatible(
-            exp, _tensor(make_algebra(m, tol), scenario.tensor_factor, tol), tol
+            exp, _tensor(bundle.subalgebra(m, tol), scenario.tensor_factor, tol), tol
         )
         for m in proper
     ]

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel.
 
-Norms, Hermitian functional calculus, least-squares solves, Kronecker
-products, and the central tolerance policy used everywhere else.
+Norms, Hermitian functional calculus, Kronecker products, orthonormal
+spans, and the central tolerance policy used everywhere else.
 
 Conventions
 -----------
@@ -9,14 +9,14 @@ Conventions
 - Matrix equality is decided in operator norm against ``eq_tol``.
 - The Hilbert-Schmidt inner product is normalized,
   ``<x, y> = tr(x* y) / n`` for ``n x n`` matrices, and is used only for
-  coordinates and least squares; reported norms of algebra elements are
+  coordinates and orthonormal spans; reported norms of algebra elements are
   operator norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -91,11 +91,18 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[:, 0]
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product ``tr(a* b) / n``."""
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b) / a.shape[0])
+def max_op_norm(stack: np.ndarray, bound: float) -> float:
+    """Largest operator norm in a stack, or an upper bound below ``bound``.
+
+    While every Frobenius norm (an upper bound, far cheaper than an SVD)
+    stays below ``bound`` the largest is returned, so any comparison with
+    ``bound`` decides as the exact value would.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[0] == 0:
+        raise DimensionError("max_op_norm requires a nonempty stack of matrices")
+    frobenius = float(np.linalg.norm(a, axis=(1, 2)).max())
+    return frobenius if frobenius < bound else float(op_norms(a).max())
 
 
 def hs_norm(m: np.ndarray) -> float:
@@ -146,39 +153,6 @@ def psd_calculus(
     else:
         raise ArgumentError(f"unknown spectral function {func!r}")
     return (v * fw) @ adjoint(v)
-
-
-def lstsq_solve(
-    coeff_columns: Sequence[np.ndarray],
-    target: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares combination of matrices.
-
-    Finds coefficients ``c`` minimizing ``|sum_i c_i M_i - target|`` in
-    Hilbert-Schmidt norm and returns ``(c, residual)`` with the residual
-    in the normalized Hilbert-Schmidt norm.
-
-    Raises
-    ------
-    ArgumentError
-        If the column list is empty.
-    DimensionError
-        If the matrices do not all share the target's shape.
-    """
-    if len(coeff_columns) == 0:
-        raise ArgumentError("lstsq_solve requires at least one column")
-    t = np.asarray(target, dtype=complex)
-    cols = []
-    for m in coeff_columns:
-        a = np.asarray(m, dtype=complex)
-        if a.shape != t.shape:
-            raise DimensionError(f"column shape {a.shape} does not match target {t.shape}")
-        cols.append(a.ravel())
-    system = np.stack(cols, axis=1)
-    c, _, _, _ = np.linalg.lstsq(system, t.ravel(), rcond=tol.rank_tol)
-    resid = system @ c - t.ravel()
-    return c, float(np.linalg.norm(resid) / np.sqrt(t.shape[0]))
 
 
 def kron(a, b) -> np.ndarray:

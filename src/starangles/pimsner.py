@@ -35,10 +35,15 @@ class ModuleBasis:
 
 @dataclass(frozen=True)
 class WatataniIndex:
-    """Index value; ``scalar`` is set when the value is a multiple of 1."""
+    """Index value; ``scalar`` is set when the value is a multiple of 1.
+
+    The residual ``max_s |[Ind, a_s]|`` and least eigenvalue it was verified with.
+    """
 
     value: np.ndarray = field(repr=False)
     scalar: float | None
+    centrality_residual: float
+    min_eigenvalue: float
 
     @property
     def norm(self) -> float:
@@ -125,7 +130,7 @@ def watatani_index(basis: ModuleBasis, tol: Tolerances = DEFAULT_TOLERANCES) -> 
         raise InvariantError(f"index is not invertible (min eig {eigs[0]:.3e})")
     mean = float(np.trace(value).real / a.ambient_dim)
     scalar = mean if op_norm(value - mean * a.unit) < tol.eq_tol else None
-    return WatataniIndex(value=value, scalar=scalar)
+    return WatataniIndex(value, scalar, float(centrality), float(eigs[0]))
 
 
 def verify_quasi_basis(

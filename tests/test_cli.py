@@ -123,6 +123,17 @@ class TestCommands:
         assert run_cli(["verify", d4_scenario]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["all_passed"] is True
+        report = results["expectation_report"]
+        assert report["bimodule_equations_checked"] == report["bimodule_equations_total"]
+        assert results["index_centrality_residual"] < 1e-9
+        assert results["index_min_eigenvalue"] > 1e-10
+
+    def test_verify_report_is_byte_identical(self, d4_scenario, tmp_path):
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        assert run_cli(["verify", d4_scenario, "--out", first]) == 0
+        assert run_cli(["verify", d4_scenario, "--out", second]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_exterior_angle_runs(self, capsys):
         assert run_cli(["exterior-angle", SCENARIOS / "s3_pair.json"]) == 0

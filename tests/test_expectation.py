@@ -94,6 +94,39 @@ class TestVerify:
         with pytest.raises(ConstructionError):
             _verify_expectation_axioms(broken)
 
+    def test_non_bimodular_map_rejected(self, diag_in_m2):
+        # E(x) = diag(x11, x22) + c (x12 + x21) diag(1, -1) passes every
+        # other axiom but not E(b x) = b E(x)
+        c = 1e-3
+        flip = np.diag([1.0, -1.0]).astype(complex)
+        values = np.stack(
+            [np.diag(np.diag(x)) + c * (x[0, 1] + x[1, 0]) * flip for x in diag_in_m2.big.basis]
+        )
+        skewed = sa.CondExpectation(
+            inclusion=diag_in_m2.inclusion, values=values, kind="custom"
+        )
+        with pytest.raises(ConstructionError) as err:
+            _verify_expectation_axioms(skewed)
+        assert err.value.prop == "bimodule property"
+        report = sa.verify(skewed, samples=8, seed=6)
+        assert 1e-4 < report.bimodule < 1e-2
+        assert max(report.range_residual, report.idempotency, report.adjoint_preservation) < 1e-12
+
+    def test_compatible_expectations_checked_exhaustively(self, suite_s3):
+        for ci in suite_s3.compat:
+            for exp in (ci.F, ci.E_restricted):
+                report = sa.verify(exp, samples=4, seed=0)
+                assert report.passed
+                assert report.bimodule_checked == report.bimodule_total
+                assert report.bimodule_total == 2 * exp.small.dim * exp.big.dim
+
+    def test_sampled_bimodule_coverage_reported(self):
+        m8 = full_matrix_algebra(8)
+        exp = sa.trace_preserving(sa.Inclusion(big=m8, small=m8))
+        report = sa.verify(exp, samples=4, seed=0)
+        assert (report.bimodule_checked, report.bimodule_total) == (4096, 8192)
+        assert report.passed
+
     def test_expectation_from_values_validates(self, diag_in_m2):
         rebuilt = sa.expectation_from_values(diag_in_m2.inclusion, diag_in_m2.values)
         assert rebuilt.kind == "custom"

@@ -108,49 +108,26 @@ class TestPsdCalculus:
             linalg.psd_calculus(np.eye(2), "log")
 
 
-class TestLstsq:
-    def test_exact_combination(self):
-        cols = [np.eye(2), np.diag([1.0, -1.0])]
-        target = 3.0 * cols[0] + 2.0 * cols[1]
-        coeffs, residual = linalg.lstsq_solve(cols, target)
-        assert np.allclose(coeffs, [3.0, 2.0], atol=1e-12)
-        assert residual < 1e-12
+class TestMaxOpNorm:
+    def test_exact_above_bound_never_below(self, rng):
+        stack = np.stack([linalg.random_matrix(rng, 4) for _ in range(6)])
+        exact = float(linalg.op_norms(stack).max())
+        for bound in (1e-9, 0.5 * exact, exact, 2.0 * exact, 100.0):
+            screened = linalg.max_op_norm(stack, bound)
+            assert screened >= exact - 1e-12
+            if screened >= bound:
+                assert screened == pytest.approx(exact, abs=1e-12)
 
-    def test_redundant_spanning_set_minimum_norm(self, rng):
-        # oracle: the pseudo-inverse of the stacked system
-        cols = [linalg.random_matrix(rng, 3) for _ in range(4)]
-        cols.append(cols[0] + cols[1])  # redundancy
-        target = cols[2] @ np.diag([1.0, 2.0, 3.0]) @ cols[3]
-        target = sum(c * w for c, w in zip(cols, [1.0, -2.0, 0.5, 0.0, 1.5]))
-        coeffs, residual = linalg.lstsq_solve(cols, target)
-        assert residual < 1e-10
-        system = np.stack([c.ravel() for c in cols], axis=1)
-        oracle = np.linalg.pinv(system) @ target.ravel()
-        assert np.allclose(coeffs, oracle, atol=1e-9)
+    def test_decides_like_the_exact_norm(self, rng):
+        # tiny residuals: the Frobenius bound stands in below the bound
+        stack = 1e-12 * np.stack([linalg.random_matrix(rng, 3) for _ in range(4)])
+        exact = float(linalg.op_norms(stack).max())
+        for bound in (1e-13, exact, 1e-9):
+            assert (linalg.max_op_norm(stack, bound) > bound) == (exact > bound)
 
-    def test_orthogonal_target(self):
-        cols = [np.diag([1.0, 0.0]).astype(complex)]
-        target = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        coeffs, residual = linalg.lstsq_solve(cols, target)
-        assert np.allclose(coeffs, 0.0, atol=1e-12)
-        assert residual == pytest.approx(linalg.hs_norm(target), abs=1e-12)
-
-    def test_residual_beats_arbitrary_candidates(self, rng):
-        cols = [linalg.random_matrix(rng, 3) for _ in range(3)]
-        target = linalg.random_matrix(rng, 3)
-        _, residual = linalg.lstsq_solve(cols, target)
-        for _ in range(10):
-            cand = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            approx = sum(c * w for c, w in zip(cols, cand))
-            assert residual <= linalg.hs_norm(approx - target) + 1e-12
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(ArgumentError):
-            linalg.lstsq_solve([], np.eye(2))
-
-    def test_shape_mismatch_rejected(self):
+    def test_empty_stack_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.lstsq_solve([np.eye(3)], np.eye(2))
+            linalg.max_op_norm(np.zeros((0, 2, 2)), 1.0)
 
 
 def _kron_by_loops(a, b):
@@ -207,7 +184,7 @@ class TestOrthonormalSpan:
         assert basis.shape[0] == 4
         for i in range(4):
             for j in range(4):
-                inner = linalg.hs_inner(basis[i], basis[j])
+                inner = np.vdot(basis[i], basis[j]) / 3
                 assert inner == pytest.approx(float(i == j), abs=1e-12)
 
     def test_rank_deficiency_collapses(self, rng):
@@ -219,6 +196,6 @@ class TestOrthonormalSpan:
         mats = np.stack([linalg.random_matrix(rng, 3) for _ in range(3)])
         basis = linalg.orthonormal_span(mats)
         for m in mats:
-            coeffs = np.array([linalg.hs_inner(b, m) for b in basis])
+            coeffs = np.array([np.vdot(b, m) / 3 for b in basis])
             recon = np.tensordot(coeffs, basis, axes=(0, 0))
             assert linalg.op_norm(recon - m) < 1e-10
