@@ -549,10 +549,6 @@ def fixed_point(
         / order
     )
     fixed = from_span(base.ambient_dim, list(averaged), tol)
-    expectation = CondExpectation(
-        inclusion=Inclusion(big=base, small=fixed),
-        values=averaged,
-        kind="trace_preserving",
-    )
+    expectation = CondExpectation(inclusion=Inclusion(big=base, small=fixed), values=averaged)
     _verify_expectation_axioms(expectation, tol)
     return fixed, expectation

@@ -10,7 +10,10 @@ the original algebra: with quasi-bases ``{mu_j}`` of the restriction to P
 and ``{delta_k}`` of the restriction to Q,
 
     cos = |ind^{-1} (sum_{jk} mu_j E(mu_j* delta_k) delta_k* - 1)|
-          / (|ind^{-1}(ind_P - 1)|^(1/2) |ind^{-1}(ind_Q - 1)|^(1/2)).
+          / (|ind^{-1}(ind_P - 1)|^(1/2) |ind^{-1}(ind_Q - 1)|^(1/2)),
+
+where the numerator's sum equals ``sum_k F_P(delta_k) delta_k*``, since
+``sum_j mu_j E(mu_j* y) = F_P(y)`` by compatibility and bimodularity.
 
 Norms of algebra elements are operator norms. For group-algebra
 inclusions both routes reproduce the closed form
@@ -34,7 +37,7 @@ from .errors import (
     InvariantError,
 )
 from .expectation import CompatibleIntermediate, CondExpectation, make_compatible
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, op_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
 
@@ -151,16 +154,10 @@ def _check_nondegenerate(exp: CondExpectation, ci: CompatibleIntermediate, tol: 
 
 
 def _quasibasis_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    exp = ctx.expectation
     inv = ctx.index.inverse(ctx.tol)
-    unit = exp.big.unit
-    mu = ctx.restricted_basis(p).elements
+    unit = ctx.expectation.big.unit
     delta = ctx.restricted_basis(q).elements
-    mixed = np.zeros_like(unit)
-    for m in mu:
-        m_star = adjoint(m)
-        for dlt in delta:
-            mixed += m @ exp.apply(m_star @ dlt) @ adjoint(dlt)
+    mixed = np.einsum("kij,klj->il", p.F.apply_many(delta), np.conj(delta))
     numerator = op_norm(inv @ (mixed - unit))
     den_p = math.sqrt(op_norm(inv @ (ctx.restricted_index(p).value - unit)))
     den_q = math.sqrt(op_norm(inv @ (ctx.restricted_index(q).value - unit)))
@@ -252,10 +249,7 @@ def interior_angle(
     commuting = None
     if path in ("definition", "both"):
         fragments["definition"] = _definition_cosine(ctx, p, q)
-        resid = op_norm(
-            ctx.jones_projection(p) @ ctx.jones_projection(q) - ctx.bc.e_proj
-        )
-        commuting = (resid < tol.eq_tol, resid)
+        commuting = is_commuting_square(exp, p, q, tol, ctx)
     primary = "definition" if "definition" in fragments else "quasibasis"
     provenance = (
         f"module bases: |P|={len(ctx.restricted_basis(p))}, "

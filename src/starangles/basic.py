@@ -99,7 +99,7 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     module = orthonormal_basis(exp, tol)
     index = watatani_index(module, tol)
 
-    gram = exp.state_gram()
+    gram = exp.state_gram(a, a)
     gram = (gram + adjoint(gram)) / 2.0
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= tol.rank_tol:
@@ -198,7 +198,6 @@ class DualExpectation:
         self.expectation = CondExpectation(
             inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
             values=lam_values,
-            kind="custom",
         )
         _verify_expectation_axioms(self.expectation, tol)
 

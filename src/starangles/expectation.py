@@ -1,10 +1,11 @@
 """Conditional expectations on inclusions of matrix *-algebras.
 
-The default expectation is trace preserving: the orthogonal projection of
-the big algebra onto the small one for the normalized Hilbert-Schmidt
-inner product, which is a faithful conditional expectation because the
-reference state is the normalized matrix trace. Custom expectations are
-accepted as explicit basis-value tables and validated on construction.
+An expectation is its basis-value table; nothing else is stored. The state
+it induces, ``phi = tr o E / n``, is read off the table as a density ``rho``
+in the big algebra, ``phi(x) = tr(rho x) / n``. ``trace_preserving`` builds
+the Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
+The compatible expectation onto an intermediate is the ``phi``-orthogonal
+projection onto it.
 
 Every expectation built passes one axiom check; bimodularity is checked
 as left and right modularity on basis pairs, exhaustively up to a budget
@@ -38,7 +39,6 @@ class CondExpectation:
 
     inclusion: Inclusion
     values: np.ndarray = field(repr=False)
-    kind: str = "trace_preserving"
 
     @property
     def big(self) -> StarAlgebra:
@@ -60,31 +60,33 @@ class CondExpectation:
         """Matrix of ``E`` on the big algebra's coordinates, column-major."""
         return self.big.coords_many(self.values).T
 
-    def state_gram(self) -> np.ndarray:
-        """Gram matrix ``G[s, t] = tr(E(a_s* a_t)) / n`` of the induced state."""
+    def state_gram(self, rows: StarAlgebra, cols: StarAlgebra) -> np.ndarray:
+        """Gram matrix ``G[s, t] = phi(r_s* c_t)`` of the induced state.
+
+        ``phi(x) = tr(rho x) / n`` on the big algebra, with density
+        ``rho = sum_s phi(a_s) a_s*``, so ``phi(x* y) = <x rho*, y>``;
+        ``rows`` and ``cols`` are subalgebras of the big algebra.
+        """
         a = self.big
-        if self.kind == "trace_preserving":
-            return np.eye(a.dim)
-        gram = np.zeros((a.dim, a.dim), dtype=complex)
-        star = np.conj(np.transpose(a.basis, (0, 2, 1)))
-        for s in range(a.dim):
-            products = star[s] @ a.basis
-            images = self.apply_many(products)
-            gram[s] = np.trace(images, axis1=1, axis2=2) / a.ambient_dim
-        return gram
+        phi = np.trace(self.values, axis1=1, axis2=2) / a.ambient_dim  # phi(a_s)
+        rho_star = a.reconstruct(np.conj(phi))
+        return np.conj(cols.coords_many(rows.basis @ rho_star))
 
 
 def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
     """Lazily yield ``(axiom, residual)`` for the six algebraic axioms, in order.
 
-    Range is a normalized Hilbert-Schmidt distance; the others are upper
-    bounds on the operator-norm violation, exact once they reach ``eq_tol``.
+    Each is an upper bound on the operator-norm violation, exact once it
+    reaches ``eq_tol``.
     """
     a, b = exp.big, exp.small
     if exp.values.shape != (a.dim, a.ambient_dim, a.ambient_dim):
         raise ArgumentError("value table shape does not match the big algebra")
     eq = tol.eq_tol
-    yield "range containment", b._max_span_residual(exp.values)
+    # inline: a value-sized local would stay alive through the later checks
+    yield "range containment", max_op_norm(
+        exp.values - np.tensordot(b.coords_many(exp.values), b.basis, axes=(1, 0)), eq
+    )
     yield "fixes the small algebra", max_op_norm(exp.apply_many(b.basis) - b.basis, eq)
     yield "unitality", op_norm(exp.apply(a.unit) - a.unit)
     yield "idempotency", max_op_norm(exp.apply_many(exp.values) - exp.values, eq)
@@ -142,7 +144,7 @@ def trace_preserving(inc: Inclusion, tol: Tolerances = DEFAULT_TOLERANCES) -> Co
     """Trace-preserving expectation: HS-orthogonal projection onto the span."""
     overlaps = inc.small.coords_many(inc.big.basis)  # (dimA, dimB)
     values = np.tensordot(overlaps, inc.small.basis, axes=(1, 0))
-    exp = CondExpectation(inclusion=inc, values=values, kind="trace_preserving")
+    exp = CondExpectation(inclusion=inc, values=values)
     _verify_expectation_axioms(exp, tol)
     return exp
 
@@ -154,7 +156,7 @@ def expectation_from_values(
 ) -> CondExpectation:
     """Custom expectation from its values on the big algebra's basis."""
     stack = np.asarray(values, dtype=complex)
-    exp = CondExpectation(inclusion=inc, values=stack, kind="custom")
+    exp = CondExpectation(inclusion=inc, values=stack)
     _verify_expectation_axioms(exp, tol)
     positivity, _ = _sampled_positivity(exp, samples=16, seed=5)
     if positivity > tol.eq_tol:
@@ -256,42 +258,29 @@ def make_compatible(
     """Equip an intermediate subalgebra with its compatible expectation.
 
     The candidate ``F`` is the orthogonal projection of the big algebra
-    onto the intermediate for the state induced by the expectation (for a
-    trace-preserving expectation this is again the trace-preserving one);
-    any compatible expectation must agree with it, so failure of the
-    verification means the intermediate is not compatible.
+    onto the intermediate for the state ``phi`` induced by the expectation
+    (for a trace-preserving expectation, the Hilbert-Schmidt projection).
+    Compatibility ``E|_P o F = E`` makes ``F`` preserve ``phi``, which
+    determines it, so failure of the verification means the intermediate
+    is not compatible.
     """
     a, b = exp.big, exp.small
     p = intermediate
     if not (spans_subset(b, p, tol) and spans_subset(p, a, tol)):
         raise ContainmentError("intermediate does not sit between the inclusion's algebras")
 
-    restricted_values = np.stack([exp.apply(x) for x in p.basis])
     restricted = CondExpectation(
-        inclusion=Inclusion(big=p, small=b), values=restricted_values, kind=exp.kind
+        inclusion=Inclusion(big=p, small=b), values=exp.apply_many(p.basis)
     )
     _verify_expectation_axioms(restricted, tol)
 
-    if exp.kind == "trace_preserving":
-        overlaps = p.coords_many(a.basis)
-        f_values = np.tensordot(overlaps, p.basis, axes=(1, 0))
-    else:
-        p_star = np.conj(np.transpose(p.basis, (0, 2, 1)))
-        gram = np.zeros((p.dim, p.dim), dtype=complex)
-        rhs = np.zeros((p.dim, a.dim), dtype=complex)
-        for t in range(p.dim):
-            prods_p = p_star[t] @ p.basis
-            gram[t] = np.trace(exp.apply_many(prods_p), axis1=1, axis2=2) / a.ambient_dim
-            prods_a = p_star[t] @ a.basis
-            rhs[t] = np.trace(exp.apply_many(prods_a), axis1=1, axis2=2) / a.ambient_dim
-        eigs = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)
-        if eigs[0] <= tol.rank_tol:
-            raise IncompatibilityError(
-                "state degenerates on the intermediate", float(eigs[0])
-            )
-        coeffs = np.linalg.solve(gram, rhs)  # (dimP, dimA)
-        f_values = np.tensordot(coeffs.T, p.basis, axes=(1, 0))
-    f = CondExpectation(inclusion=Inclusion(big=a, small=p), values=f_values, kind=exp.kind)
+    gram = exp.state_gram(p, p)
+    eigs = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)
+    if eigs[0] <= tol.rank_tol:
+        raise IncompatibilityError("state degenerates on the intermediate", float(eigs[0]))
+    coeffs = np.linalg.solve(gram, exp.state_gram(p, a))  # (dimP, dimA)
+    f_values = np.tensordot(coeffs.T, p.basis, axes=(1, 0))
+    f = CondExpectation(inclusion=Inclusion(big=a, small=p), values=f_values)
     try:
         _verify_expectation_axioms(f, tol)
     except ConstructionError as err:
@@ -300,9 +289,7 @@ def make_compatible(
             err.residual,
         ) from err
 
-    compat = max(
-        op_norm(restricted.apply(f.values[s]) - exp.values[s]) for s in range(a.dim)
-    )
+    compat = max_op_norm(restricted.apply_many(f.values) - exp.values, tol.eq_tol)
     if compat >= tol.eq_tol:
         raise IncompatibilityError("tower composition does not reproduce E", compat)
     return CompatibleIntermediate(P=p, F=f, E_restricted=restricted)

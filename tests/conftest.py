@@ -4,8 +4,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import starangles as sa
+
+# derandomized and bounded, so property tests run the same examples every time
+settings.register_profile(
+    "starangles", derandomize=True, deadline=None, max_examples=20, database=None
+)
+settings.load_profile("starangles")
 
 
 @dataclass

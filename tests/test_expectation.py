@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import starangles as sa
 from starangles.errors import ConstructionError, ContainmentError, IncompatibilityError
 from starangles.expectation import _verify_expectation_axioms
-from starangles.linalg import adjoint, op_norm
+from starangles.linalg import adjoint, op_norm, random_unitary
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -73,9 +74,7 @@ class TestVerify:
         values = values + 1e-3 * np.stack(
             [leak * big.coords(big.basis[s])[0] for s in range(big.dim)]
         )
-        perturbed = sa.CondExpectation(
-            inclusion=diag_in_m2.inclusion, values=values, kind="custom"
-        )
+        perturbed = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
         report = sa.verify(perturbed, samples=16, seed=3)
         assert not report.passed
         worst = max(report.range_residual, report.bimodule, report.idempotency)
@@ -86,9 +85,7 @@ class TestVerify:
         big = diag_in_m2.big
         corner = np.diag([1.0, 0.0]).astype(complex)
         values = np.stack([x[0, 0] * corner for x in big.basis])
-        broken = sa.CondExpectation(
-            inclusion=diag_in_m2.inclusion, values=values, kind="custom"
-        )
+        broken = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
         report = sa.verify(broken, samples=8, seed=4)
         assert report.unitality > 0.4
         with pytest.raises(ConstructionError):
@@ -102,15 +99,25 @@ class TestVerify:
         values = np.stack(
             [np.diag(np.diag(x)) + c * (x[0, 1] + x[1, 0]) * flip for x in diag_in_m2.big.basis]
         )
-        skewed = sa.CondExpectation(
-            inclusion=diag_in_m2.inclusion, values=values, kind="custom"
-        )
+        skewed = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
         with pytest.raises(ConstructionError) as err:
             _verify_expectation_axioms(skewed)
         assert err.value.prop == "bimodule property"
         report = sa.verify(skewed, samples=8, seed=6)
         assert 1e-4 < report.bimodule < 1e-2
         assert max(report.range_residual, report.idempotency, report.adjoint_preservation) < 1e-12
+
+    def test_range_leak_measured_in_operator_norm(self):
+        # a leak of operator norm 2e-9 is 2e-9 / sqrt(8) in normalized HS norm
+        m8 = full_matrix_algebra(8)
+        exp = sa.trace_preserving(sa.Inclusion(big=m8, small=scalar_algebra(8)))
+        values = exp.values.copy()
+        values[0, 0, 1] += 2e-9
+        leaky = sa.CondExpectation(inclusion=exp.inclusion, values=values)
+        with pytest.raises(ConstructionError) as err:
+            _verify_expectation_axioms(leaky)
+        assert err.value.prop == "range containment"
+        assert sa.verify(leaky, samples=4, seed=0).range_residual >= 2e-9
 
     def test_compatible_expectations_checked_exhaustively(self, suite_s3):
         for ci in suite_s3.compat:
@@ -129,7 +136,6 @@ class TestVerify:
 
     def test_expectation_from_values_validates(self, diag_in_m2):
         rebuilt = sa.expectation_from_values(diag_in_m2.inclusion, diag_in_m2.values)
-        assert rebuilt.kind == "custom"
         report = sa.verify(rebuilt, samples=8, seed=5)
         assert report.passed
 
@@ -193,6 +199,82 @@ class TestMakeCompatible:
         )
         with pytest.raises(IncompatibilityError):
             sa.make_compatible(exp, off_diag)
+
+
+@st.composite
+def faithful_states(draw, sizes=st.integers(2, 4)):
+    """Eigenvalues ``lam`` (summing to 1) and eigenbasis ``q`` of a density on M_n."""
+    n = draw(sizes)
+    weights = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    q = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return weights / weights.sum(), q
+
+
+def state_expectation(lam: np.ndarray, q: np.ndarray) -> sa.CondExpectation:
+    """``E = tr(h .) 1`` from M_n onto the scalars, ``h = q diag(lam) q*``, unlabelled."""
+    n = len(lam)
+    h = (q * lam) @ adjoint(q)
+    big = full_matrix_algebra(n)
+    values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
+    return sa.CondExpectation(sa.Inclusion(big=big, small=scalar_algebra(n)), values)
+
+
+class TestNonTracial:
+    """A faithful state on M_n given only by its value table."""
+
+    @given(faithful_states())
+    def test_index_is_sum_of_inverse_weights(self, state):
+        lam, q = state
+        index = sa.watatani_index(sa.orthonormal_basis(state_expectation(lam, q)))
+        assert index.scalar == pytest.approx(np.sum(1.0 / lam), rel=1e-9)
+
+    @given(faithful_states())
+    def test_basic_construction_builds(self, state):
+        lam, _ = state
+        bc = sa.build(state_expectation(*state))
+        assert bc.dim_m1 == len(lam) ** 4
+
+    @given(faithful_states())
+    def test_state_gram_matches_looped_state(self, state):
+        exp = state_expectation(*state)
+        a = exp.big
+        looped = np.array(
+            [
+                [np.trace(exp.apply(adjoint(x) @ y)) / a.ambient_dim for y in a.basis]
+                for x in a.basis
+            ]
+        )
+        assert np.abs(exp.state_gram(a, a) - looped).max() < 1e-12
+
+    @given(faithful_states())
+    def test_eigenbasis_diagonal_is_compatible(self, state):
+        lam, q = state
+        exp = state_expectation(lam, q)
+        projections = np.einsum("ik,jk->kij", q, np.conj(q))  # q e_ii q*
+        diagonal = sa.from_span(len(lam), list(projections))
+        ci = sa.make_compatible(exp, diagonal)
+        compressed = np.einsum("iab,sbc,icd->sad", projections, exp.big.basis, projections)
+        assert np.abs(ci.F.values - compressed).max() < 1e-10
+        validated = sa.expectation_from_values(exp.inclusion, exp.values)
+        rebuilt = sa.make_compatible(validated, diagonal)
+        assert np.abs(rebuilt.F.values - ci.F.values).max() < 1e-12
+
+    @given(faithful_states(st.just(2)), faithful_states(st.just(2)))
+    def test_tensor_factor_slices_with_the_state(self, left, right):
+        # for h = h1 (x) h2 the compatible F onto M_2 (x) 1 is the slice by
+        # tr(h2 .), not the Hilbert-Schmidt (trace) slice
+        (lam1, q1), (lam2, q2) = left, right
+        exp = state_expectation(np.kron(lam1, lam2), np.kron(q1, q2))
+        h2 = (q2 * lam2) @ adjoint(q2)
+        first = sa.from_span(4, [np.kron(x, np.eye(2)) for x in full_matrix_algebra(2).basis])
+        ci = sa.make_compatible(exp, first)
+        slices = np.stack(
+            [
+                np.kron(np.einsum("ajbk,kj->ab", x.reshape(2, 2, 2, 2), h2), np.eye(2))
+                for x in exp.big.basis
+            ]
+        )
+        assert np.abs(ci.F.values - slices).max() < 1e-10
 
 
 class TestIndPEstimate:
