@@ -59,8 +59,16 @@ class AngleReport:
 
 
 class AngleContext:
-    """Caches the shared machinery (basic construction, dual expectation,
-    module bases and intermediate projections) across angle computations."""
+    """Caches the shared machinery across angle computations.
+
+    Per context: the basic construction, the dual expectation, the module
+    basis, the index and its inverse. Per intermediate, each computed on
+    first use: the restricted module basis and index, the Jones
+    projection, and the two routes' denominators, ``|E1(z_P)|^(1/2)``
+    (definition) and ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A
+    pair then costs one numerator per route: on the definition route, one
+    dual-expectation solve on ``z_P z_Q``.
+    """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
         self.expectation = exp
@@ -69,6 +77,7 @@ class AngleContext:
         self._dual: basic.DualExpectation | None = None
         self._module: ModuleBasis | None = None
         self._index: WatataniIndex | None = None
+        self._index_inverse: np.ndarray | None = None
         self._per_intermediate: dict[int, dict] = {}
         self._upper: AngleContext | None = None
 
@@ -89,6 +98,12 @@ class AngleContext:
             else:
                 self._index = watatani_index(self.module_basis, self.tol)
         return self._index
+
+    @property
+    def index_inverse(self) -> np.ndarray:
+        if self._index_inverse is None:
+            self._index_inverse = self.index.inverse(self.tol)
+        return self._index_inverse
 
     @property
     def bc(self) -> basic.BasicConstruction:
@@ -127,6 +142,23 @@ class AngleContext:
             )
         return cache["jones"]
 
+    def definition_denominator(self, ci: CompatibleIntermediate) -> float:
+        """``|E1(z_P)|^(1/2)`` with ``z_P = e_P - e``."""
+        cache = self._cache(ci)
+        if "den_definition" not in cache:
+            z = self.jones_projection(ci) - self.bc.e_proj
+            cache["den_definition"] = math.sqrt(op_norm(self.dual.apply(z)))
+        return cache["den_definition"]
+
+    def quasibasis_denominator(self, ci: CompatibleIntermediate) -> float:
+        """``|ind^{-1}(ind_P - 1)|^(1/2)``."""
+        cache = self._cache(ci)
+        if "den_quasibasis" not in cache:
+            unit = self.expectation.big.unit
+            excess = self.restricted_index(ci).value - unit
+            cache["den_quasibasis"] = math.sqrt(op_norm(self.index_inverse @ excess))
+        return cache["den_quasibasis"]
+
     @property
     def upper(self) -> "AngleContext":
         """Context one floor up: the dual expectation onto lambda(A) in M1."""
@@ -154,25 +186,18 @@ def _check_nondegenerate(exp: CondExpectation, ci: CompatibleIntermediate, tol: 
 
 
 def _quasibasis_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    inv = ctx.index.inverse(ctx.tol)
     unit = ctx.expectation.big.unit
     delta = ctx.restricted_basis(q).elements
     mixed = np.einsum("kij,klj->il", p.F.apply_many(delta), np.conj(delta))
-    numerator = op_norm(inv @ (mixed - unit))
-    den_p = math.sqrt(op_norm(inv @ (ctx.restricted_index(p).value - unit)))
-    den_q = math.sqrt(op_norm(inv @ (ctx.restricted_index(q).value - unit)))
-    return numerator, (den_p, den_q)
+    numerator = op_norm(ctx.index_inverse @ (mixed - unit))
+    return numerator, (ctx.quasibasis_denominator(p), ctx.quasibasis_denominator(q))
 
 
 def _definition_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    bc = ctx.bc
-    dual = ctx.dual
-    z_p = ctx.jones_projection(p) - bc.e_proj
-    z_q = ctx.jones_projection(q) - bc.e_proj
-    numerator = op_norm(dual.apply(z_p @ z_q))
-    den_p = math.sqrt(op_norm(dual.apply(z_p)))
-    den_q = math.sqrt(op_norm(dual.apply(z_q)))
-    return numerator, (den_p, den_q)
+    e = ctx.bc.e_proj
+    z_pq = (ctx.jones_projection(p) - e) @ (ctx.jones_projection(q) - e)
+    numerator = op_norm(ctx.dual.apply(z_pq))
+    return numerator, (ctx.definition_denominator(p), ctx.definition_denominator(q))
 
 
 def _finish_report(

@@ -5,15 +5,14 @@ The big algebra, viewed as a ``d``-dimensional complex coordinate space
 carries left multiplication ``lambda(a)`` and the Jones projection ``e``
 implementing the expectation. The basic construction ``M1 = <lambda(A), e>``
 is realized as the linear span of ``lambda(m_j b) e lambda(m_k)*`` over a
-module basis ``{m_j}`` and a basis of B; one thin SVD of that family gives
-both M1's orthonormal basis and the least-squares solver of the dual
-expectation, which sends ``lambda(x) e lambda(y)`` to
-``lambda(index^{-1} x y)``.
+module basis ``{m_j}`` and a basis of B. One thin SVD of that family gives
+M1's orthonormal basis and the dual expectation's value table on it: the
+minimum-norm extension of ``lambda(x) e lambda(y) -> index^{-1} x y``.
+The family itself is not kept; evaluating the dual takes M1 coordinates,
+checks the residual and contracts with the table.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .expectation import (
     CondExpectation,
     _verify_expectation_axioms,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, op_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
 
@@ -50,8 +49,9 @@ class BasicConstruction:
         self.lambda_stack = np.stack([self.lambda_of(x) for x in source.big.basis])
         self.e_proj = gram_sqrt @ source.coefficient_matrix() @ gram_inv_sqrt
         self.lambda_algebra: StarAlgebra | None = None
-        self.spanning: SpanningFamily | None = None
         self.m1: StarAlgebra | None = None
+        # values of the dual expectation on M1's basis, inside the big algebra
+        self.dual_table: np.ndarray | None = None
 
     @property
     def dim_m1(self) -> int:
@@ -69,27 +69,13 @@ class BasicConstruction:
         return self._gram_sqrt @ mult @ self._gram_inv_sqrt
 
 
-@dataclass(frozen=True)
-class SpanningFamily:
-    """The matrices ``lambda(m_j b_t) e lambda(m_k)*``, flattened as the rows
-    of ``rows``, with their prescribed dual-expectation values
-    ``index^{-1} m_j b_t m_k*`` and the rank-truncated thin SVD
-    ``rows = u diag(s) vh``. The rows of ``vh`` span M1."""
-
-    rows: np.ndarray
-    values: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-
 def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicConstruction:
     """Build the reduced basic construction and verify its identities.
 
     M1 is the span of ``lambda(m_j b) e lambda(m_k)*`` over the module
-    basis ``{m_j}`` and a basis of B. Its orthonormal basis comes from one
-    thin SVD of that family, kept on the result as ``spanning`` so the dual
-    expectation solves against the same factors. The span lies inside
+    basis ``{m_j}`` and a basis of B. One thin SVD of that family gives
+    M1's orthonormal basis and ``dual_table``, the dual expectation's
+    values on that basis; the family is then dropped. The span lies inside
     ``<lambda(A), e>`` by construction; the build checks that it contains
     every ``lambda(a)`` and ``e``, so the two algebras are equal.
     """
@@ -147,8 +133,8 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     if cover_err > tol.eq_tol:
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
-    bc.spanning = _spanning_family(bc, tol)
-    bc.m1 = StarAlgebra(d, (bc.spanning.vh * np.sqrt(d)).reshape(-1, d, d), tol)
+    m1_basis, bc.dual_table = _spanning_family(bc, tol)
+    bc.m1 = StarAlgebra(d, m1_basis, tol)
     generators = np.concatenate([bc.lambda_stack, e_proj[None]])
     contains = bc.m1._max_span_residual(generators)
     if contains > tol.eq_tol:
@@ -156,8 +142,12 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     return bc
 
 
-def _spanning_family(bc: BasicConstruction, tol: Tolerances) -> SpanningFamily:
-    """M1's spanning family in the order ``(j, t, k)``, with its thin SVD."""
+def _spanning_family(bc: BasicConstruction, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """M1's orthonormal basis and the dual expectation's values on it.
+
+    The family ``lambda(m_j b_t) e lambda(m_k)*`` in the order ``(j, t, k)``
+    carries the prescribed values ``index^{-1} m_j b_t m_k*``.
+    """
     b = bc.source.small
     module = np.stack(bc.module_basis.elements)
     module_h = np.conj(module.transpose(0, 2, 1))
@@ -168,33 +158,51 @@ def _spanning_family(bc: BasicConstruction, tol: Tolerances) -> SpanningFamily:
     rows = (left[:, :, None] @ right).reshape(-1, bc.rep_dim**2)
     pre = bc.index.inverse() @ module[:, None] @ b.basis[None]
     values = (pre[:, :, None] @ module_h).reshape(-1, *module.shape[1:])
+    return _minimum_norm_table(rows, values, bc.rep_dim, tol)
+
+
+def _minimum_norm_table(
+    rows: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the span of ``rows`` (flattened ``d x d``
+    matrices) and the minimum-norm linear extension of ``values`` on it.
+
+    With the rank-truncated thin SVD ``rows = u diag(s) vh``, the basis is
+    ``sqrt(d) vh`` (orthonormal in the normalized Hilbert-Schmidt product)
+    and its values are ``sqrt(d) diag(1/s) u^H values``. The prescription
+    is linear only if it vanishes on the family's kernel, i.e. if
+    ``values = u u^H values``; otherwise this raises.
+    """
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return SpanningFamily(rows=rows, values=values, u=u[:, :rank], s=s[:rank], vh=vh[:rank])
+    u = u[:, :rank]
+    flat = values.reshape(len(values), -1)
+    coeffs = adjoint(u) @ flat
+    if rank < len(rows):  # a square unitary u makes every prescription consistent
+        drift = (flat - u @ coeffs).reshape(values.shape)
+        inconsistency = max_op_norm(drift, tol.eq_tol)
+        if inconsistency > tol.eq_tol:
+            raise ConstructionError("dual prescription consistency", inconsistency)
+    basis = (vh[:rank] * np.sqrt(d)).reshape(rank, d, d)
+    table = (coeffs * (np.sqrt(d) / s[:rank])[:, None]).reshape(rank, *values.shape[1:])
+    return basis, table
 
 
 class DualExpectation:
-    """Expectation from M1 onto lambda(A), evaluated by least squares.
+    """Expectation from M1 onto lambda(A), evaluated on M1's coordinates.
 
     Values are prescribed on a spanning family of M1 and extended by a
-    minimum-norm solve; the residual of every solve is checked, so an
-    argument outside M1's span, or an inconsistent prescription, raises.
+    minimum-norm solve, done once in ``build`` as the table of values on
+    M1's orthonormal basis (an inconsistent prescription raises there).
+    A call takes the argument's M1 coordinates ``c``, checks the residual
+    of ``c`` against the argument, so an element outside M1 raises, and
+    returns ``c`` contracted with the table: ``rank x d^2`` per argument.
     """
 
     def __init__(self, bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES):
         self.bc = bc
         self._tol = tol
-        span = bc.spanning
-        # minimum-norm coefficients of v over the rows: v vh^H diag(1/s) u^H
-        self._vh_h = np.ascontiguousarray(adjoint(span.vh))
-        self._sinv = 1.0 / span.s
-        self._u_h = np.ascontiguousarray(adjoint(span.u))
-        self._rows = span.rows
-        self._values = span.values
-        self._sqrt_d = np.sqrt(bc.rep_dim)
-
-        m1_values = self.apply_many(bc.m1.basis)
-        lam_values = np.stack([bc.lambda_of(v) for v in m1_values])
+        lam_values = np.stack([bc.lambda_of(v) for v in bc.dual_table])
         self.expectation = CondExpectation(
             inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
             values=lam_values,
@@ -206,15 +214,16 @@ class DualExpectation:
         return self.apply_many(np.asarray(t, dtype=complex)[None])[0]
 
     def apply_many(self, stack: np.ndarray) -> np.ndarray:
+        m1 = self.bc.m1
         vecs = np.asarray(stack, dtype=complex).reshape(stack.shape[0], -1)
-        coeffs = ((vecs @ self._vh_h) * self._sinv) @ self._u_h
-        resid = np.linalg.norm(coeffs @ self._rows - vecs, axis=1) / self._sqrt_d
+        coeffs = m1.coords_many(vecs)
+        resid = np.linalg.norm(coeffs @ m1._flat - vecs, axis=1) / np.sqrt(m1.ambient_dim)
         worst = float(resid.max()) if resid.size else 0.0
         if worst > self._tol.eq_tol:
             raise ArgumentError(
                 f"element is not in the basic construction's span (residual {worst:.3e})"
             )
-        return np.tensordot(coeffs, self._values, axes=(1, 0))
+        return np.tensordot(coeffs, self.bc.dual_table, axes=(1, 0))
 
 
 def dual_expectation(

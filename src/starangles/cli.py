@@ -486,7 +486,7 @@ def _cmd_verify(bundle: Bundle) -> dict:
             "adjoint_preservation": report.adjoint_preservation,
             "positivity_violation": report.positivity_violation,
             "faithfulness_floor": report.faithfulness_floor,
-            "hs_self_adjointness": report.hs_self_adjointness,
+            "state_symmetry": report.state_symmetry,
             "bimodule_equations_checked": report.bimodule_checked,
             "bimodule_equations_total": report.bimodule_total,
         },

@@ -67,10 +67,13 @@ class CondExpectation:
         ``rho = sum_s phi(a_s) a_s*``, so ``phi(x* y) = <x rho*, y>``;
         ``rows`` and ``cols`` are subalgebras of the big algebra.
         """
+        return np.conj(cols.coords_many(rows.basis @ self._density_adjoint()))
+
+    def _density_adjoint(self) -> np.ndarray:
+        """``rho*`` for the induced state's density ``rho = sum_s phi(a_s) a_s*``."""
         a = self.big
         phi = np.trace(self.values, axis1=1, axis2=2) / a.ambient_dim  # phi(a_s)
-        rho_star = a.reconstruct(np.conj(phi))
-        return np.conj(cols.coords_many(rows.basis @ rho_star))
+        return a.reconstruct(np.conj(phi))
 
 
 def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
@@ -187,7 +190,10 @@ class ExpectationReport:
 
     The six algebraic residuals are those of the construction-time check
     (norms as in ``_axiom_residuals``); ``bimodule_checked`` of the
-    ``bimodule_total`` module equations were checked.
+    ``bimodule_total`` module equations were checked. ``state_symmetry``
+    is the largest ``|phi(E(a_s)* a_t) - phi(a_s* E(a_t))|`` over basis
+    pairs, for the induced state ``phi``; both sides equal
+    ``tr(E(a_s)* E(a_t)) / n`` for every expectation.
     """
 
     idempotency: float
@@ -198,7 +204,7 @@ class ExpectationReport:
     adjoint_preservation: float
     positivity_violation: float
     faithfulness_floor: float
-    hs_self_adjointness: float
+    state_symmetry: float
     samples: int
     bimodule_checked: int
     bimodule_total: int
@@ -215,10 +221,12 @@ def verify(
     a = exp.big
     axioms = dict(_axiom_residuals(exp, tol))
     positivity, faithful_floor = _sampled_positivity(exp, samples, seed)
+    # phi(x* y) = <x rho*, y> in the normalized Hilbert-Schmidt product
+    rho_star = exp._density_adjoint()
     values_flat = exp.values.reshape(a.dim, -1)
-    lhs = np.conj(values_flat) @ a._flat.T / a.ambient_dim
-    rhs = np.conj(a._flat) @ values_flat.T / a.ambient_dim
-    hs_sym = float(np.abs(lhs - rhs).max())
+    lhs = np.conj((exp.values @ rho_star).reshape(a.dim, -1)) @ a._flat.T
+    rhs = np.conj((a.basis @ rho_star).reshape(a.dim, -1)) @ values_flat.T
+    state_sym = float(np.abs(lhs - rhs).max()) / a.ambient_dim
     checked, total = _bimodule_coverage(exp)
     return ExpectationReport(
         idempotency=axioms["idempotency"],
@@ -229,13 +237,14 @@ def verify(
         adjoint_preservation=axioms["adjoint preservation"],
         positivity_violation=positivity,
         faithfulness_floor=faithful_floor,
-        hs_self_adjointness=hs_sym,
+        state_symmetry=state_sym,
         samples=samples,
         bimodule_checked=checked,
         bimodule_total=total,
         passed=(
             max(axioms.values()) < tol.eq_tol
             and positivity < tol.eq_tol
+            and state_sym < tol.eq_tol
             and faithful_floor > tol.rank_tol
         ),
     )

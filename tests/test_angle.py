@@ -1,11 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starangles as sa
 from starangles.errors import DegenerateDenominatorError, InvariantError
-from starangles.linalg import op_norm
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_unitary
 
 
 class TestInteriorAngle:
@@ -169,6 +171,62 @@ class TestExteriorAngle:
                 suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[1], ctx=ctx
             )
         assert err.value.residual == 0.5
+
+
+@functools.lru_cache(maxsize=None)
+def conjugated_d4(seed: int):
+    """C inside C[D4] conjugated by a Haar unitary, its 8 proper compatible
+    intermediates, and one context shared by the tests that only read it."""
+    g, h = sa.dihedral(4), sa.trivial(4)
+    rep = sa.group_algebra(g)
+    u = random_unitary(np.random.default_rng(seed), 8)
+
+    def conjugate(algebra):
+        return sa.StarAlgebra(8, u @ algebra.basis @ adjoint(u))
+
+    exp = sa.trace_preserving(
+        sa.Inclusion(big=conjugate(rep.algebra), small=conjugate(rep.subalgebra(h)))
+    )
+    proper = [m for m in sa.intermediate_subgroups(g, h) if len(m) not in (1, 8)]
+    cis = tuple(sa.make_compatible(exp, conjugate(rep.subalgebra(m))) for m in proper)
+    return exp, cis, sa.AngleContext(exp)
+
+
+pair_indices = st.integers(0, 7)
+routes = st.sampled_from(["quasibasis", "definition"])
+
+
+class TestAngleCaches:
+    """Per-intermediate caches on a Haar-conjugated C inside C[D4]."""
+
+    @given(st.integers(0, 2), pair_indices, pair_indices)
+    def test_symmetric_with_unit_diagonal(self, seed, i, j):
+        exp, cis, ctx = conjugated_d4(seed)
+        tol = DEFAULT_TOLERANCES.angle_tol
+        forward = sa.interior_angle(exp, cis[i], cis[j], ctx=ctx)
+        backward = sa.interior_angle(exp, cis[j], cis[i], ctx=ctx)
+        assert abs(forward.cos_value - backward.cos_value) < tol
+        for k in (i, j):
+            assert abs(sa.interior_angle(exp, cis[k], cis[k], ctx=ctx).cos_value - 1.0) < tol
+
+    @settings(max_examples=10)  # three fresh basic constructions per example
+    @given(
+        st.integers(0, 2),
+        pair_indices,
+        pair_indices,
+        st.booleans(),
+        st.lists(st.tuples(pair_indices, pair_indices, routes), max_size=4),
+    )
+    def test_warm_context_matches_fresh(self, seed, i, j, full_matrix, calls):
+        exp, cis, _ = conjugated_d4(seed)
+        warm = sa.AngleContext(exp)
+        if full_matrix:
+            sa.angle_matrix(exp, list(cis), ctx=warm)
+        for k, m, path in calls:
+            sa.interior_angle(exp, cis[k], cis[m], path=path, ctx=warm)
+        for path in ("both", "quasibasis", "definition"):
+            fresh = sa.interior_angle(exp, cis[i], cis[j], path=path, ctx=sa.AngleContext(exp))
+            assert sa.interior_angle(exp, cis[i], cis[j], path=path, ctx=warm) == fresh
 
 
 class TestAngleMatrix:

@@ -3,8 +3,8 @@ import pytest
 
 import starangles as sa
 from starangles import basic
-from starangles.errors import ArgumentError
-from starangles.linalg import adjoint, op_norm
+from starangles.errors import ArgumentError, ConstructionError
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -157,6 +157,66 @@ class TestDualExpectation:
         bc = basic.build(exp)
         dual = basic.dual_expectation(bc)
         assert op_norm(dual.apply(bc.e_proj) - np.eye(2) / 4.0) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def s3_tensor_m2():
+    """C[S3] (x) M_2 over M_2: the spanning family has more matrices than
+    M1 has dimensions, so its SVD truncates and the solve is least squares."""
+    g = sa.symmetric(3)
+    rep = sa.group_algebra(g)
+    big = sa.tensor_by_factor(rep.algebra, 2)
+    small = sa.tensor_by_factor(rep.subalgebra(sa.trivial(3)), 2)
+    bc = basic.build(sa.trace_preserving(sa.Inclusion(big=big, small=small)))
+    inv = bc.index.inverse()
+    family, values = [], []
+    for m_j in bc.module_basis.elements:
+        for b_t in small.basis:
+            for m_k in bc.module_basis.elements:
+                family.append(basic.theta(bc, m_j @ b_t, m_k))
+                values.append(inv @ m_j @ b_t @ adjoint(m_k))
+    return bc, basic.dual_expectation(bc), np.stack(family), np.stack(values)
+
+
+class TestRankDeficientDual:
+    def test_family_exceeds_m1(self, s3_tensor_m2):
+        bc, _, family, _ = s3_tensor_m2
+        assert len(family) == 4 * bc.dim_m1 == 576
+
+    def test_prescribed_values_reproduced(self, s3_tensor_m2):
+        _, dual, family, values = s3_tensor_m2
+        assert max(op_norm(x) for x in dual.apply_many(family) - values) < 1e-9
+
+    def test_matches_minimum_norm_lstsq(self, s3_tensor_m2):
+        bc, dual, family, values = s3_tensor_m2
+        rows = family.reshape(len(family), -1)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            t = bc.m1.random_element(rng)
+            coeffs = np.linalg.lstsq(rows.T, t.ravel(), rcond=None)[0]
+            reference = np.tensordot(coeffs, values, axes=(0, 0))
+            assert op_norm(dual.apply(t) - reference) < 1e-9
+
+    def test_out_of_span_element_rejected(self, s3_tensor_m2):
+        bc, dual, *_ = s3_tensor_m2
+        outside = np.zeros((bc.rep_dim, bc.rep_dim), dtype=complex)
+        outside[0, 1] = 1.0
+        assert not bc.m1.contains(outside)[0]
+        with pytest.raises(ArgumentError):
+            dual.apply(outside)
+
+    def test_inconsistent_prescription_rejected(self, s3_tensor_m2):
+        bc, _, family, values = s3_tensor_m2
+        rows = family.reshape(len(family), -1)
+        tol = DEFAULT_TOLERANCES
+        basic._minimum_norm_table(rows, values, bc.rep_dim, tol)  # consistent: no raise
+        # a perturbation along the orthogonal complement of the family's range
+        u = np.linalg.svd(rows, full_matrices=False)[0][:, : bc.dim_m1]
+        noise = np.random.default_rng(12).standard_normal(values.shape).reshape(len(rows), -1)
+        noise = (noise - u @ (adjoint(u) @ noise)).reshape(values.shape)
+        with pytest.raises(ConstructionError) as err:
+            basic._minimum_norm_table(rows, values + 1e-6 * noise, bc.rep_dim, tol)
+        assert err.value.prop == "dual prescription consistency"
 
 
 class TestIntermediateJonesProjection:

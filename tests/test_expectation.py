@@ -105,7 +105,16 @@ class TestVerify:
         assert err.value.prop == "bimodule property"
         report = sa.verify(skewed, samples=8, seed=6)
         assert 1e-4 < report.bimodule < 1e-2
+        assert report.state_symmetry > 1e-4  # <E(sigma_x), diag(1, -1)> = 2c, not 0
         assert max(report.range_residual, report.idempotency, report.adjoint_preservation) < 1e-12
+
+    def test_state_symmetry_holds_without_trace(self):
+        # tr(h .) 1 on M_2 is not Hilbert-Schmidt symmetric (off by 0.5),
+        # but phi(E(x)* y) = phi(x* E(y)) holds for every expectation
+        exp = state_expectation(np.array([0.75, 0.25]), np.eye(2, dtype=complex))
+        report = sa.verify(exp, samples=8, seed=0)
+        assert report.state_symmetry < 1e-12
+        assert report.passed
 
     def test_range_leak_measured_in_operator_norm(self):
         # a leak of operator norm 2e-9 is 2e-9 / sqrt(8) in normalized HS norm
