@@ -4,8 +4,12 @@ The big algebra, viewed as a ``d``-dimensional complex coordinate space
 (``d = dim A``) under the inner product ``<x, y> = tr(E(x* y)) / n``,
 carries left multiplication ``lambda(a)`` and the Jones projection ``e``
 implementing the expectation. The basic construction ``M1 = <lambda(A), e>``
-is realized as the linear span of ``lambda(m_j b) e lambda(m_k)*`` over a
-module basis ``{m_j}`` and a basis of B. One thin SVD of that family gives
+is realized as the linear span of ``lambda(m_j b) e lambda(m_k)*`` over an
+orthonormal module basis ``{m_j}`` (``E(m_j* m_k) = delta_jk p_j``) and a
+basis of B. Since ``e lambda(a) e = lambda(E(a)) e``, the pieces for
+different pairs ``(j, k)`` are mutually orthogonal and the pair ``(j, k)``
+spans a copy of ``p_j B p_k``, so ``M1 = sum_{j,k} p_j B p_k`` as an
+orthogonal direct sum (Watatani, 1990). One small thin SVD per pair gives
 M1's orthonormal basis and the dual expectation's value table on it: the
 minimum-norm extension of ``lambda(x) e lambda(y) -> index^{-1} x y``.
 The family itself is not kept; evaluating the dual takes M1 coordinates,
@@ -28,6 +32,9 @@ from .expectation import (
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
+# complex entries of the products per batch of ``lambda_many``; bounds its temporaries
+_LAMBDA_BATCH_ENTRIES = 1 << 18
+
 
 class BasicConstruction:
     """Matrix realization of lambda(A), e, M1 and the index data."""
@@ -46,7 +53,7 @@ class BasicConstruction:
         self.rep_dim = source.big.dim
         self._gram_sqrt = gram_sqrt
         self._gram_inv_sqrt = gram_inv_sqrt
-        self.lambda_stack = np.stack([self.lambda_of(x) for x in source.big.basis])
+        self.lambda_stack = self.lambda_many(source.big.basis)
         self.e_proj = gram_sqrt @ source.coefficient_matrix() @ gram_inv_sqrt
         self.lambda_algebra: StarAlgebra | None = None
         self.m1: StarAlgebra | None = None
@@ -63,21 +70,37 @@ class BasicConstruction:
 
     def lambda_of(self, m: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by ``m`` on the coordinates."""
+        return self.lambda_many(np.asarray(m, dtype=complex)[None])[0]
+
+    def lambda_many(self, stack: np.ndarray) -> np.ndarray:
+        """``lambda_of`` of each matrix in a stack."""
         a = self.source.big
-        products = np.asarray(m, dtype=complex) @ a.basis
-        mult = a.coords_many(products).T
-        return self._gram_sqrt @ mult @ self._gram_inv_sqrt
+        n = a.ambient_dim
+        stack = np.asarray(stack, dtype=complex)
+        out = np.empty((len(stack), self.rep_dim, self.rep_dim), dtype=complex)
+        step = max(1, _LAMBDA_BATCH_ENTRIES // (a.dim * n * n))
+        for start in range(0, len(stack), step):
+            products = stack[start : start + step, None] @ a.basis
+            # mult[i, r, s]: coordinate r of stack[i] a_s
+            mult = a.coords_many(products.reshape(-1, n, n)).reshape(-1, a.dim, a.dim)
+            out[start : start + step] = (
+                self._gram_sqrt @ np.swapaxes(mult, 1, 2) @ self._gram_inv_sqrt
+            )
+        return out
 
 
 def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicConstruction:
     """Build the reduced basic construction and verify its identities.
 
     M1 is the span of ``lambda(m_j b) e lambda(m_k)*`` over the module
-    basis ``{m_j}`` and a basis of B. One thin SVD of that family gives
-    M1's orthonormal basis and ``dual_table``, the dual expectation's
-    values on that basis; the family is then dropped. The span lies inside
-    ``<lambda(A), e>`` by construction; the build checks that it contains
-    every ``lambda(a)`` and ``e``, so the two algebras are equal.
+    basis ``{m_j}`` and a basis of B, an orthogonal sum of one block per
+    pair ``(j, k)``. One batched thin SVD over the blocks gives M1's
+    orthonormal basis and ``dual_table``, the dual expectation's values on
+    that basis; the family is then dropped. ``lambda`` of the module basis
+    and of B's basis is computed once and shared by the checks and the
+    family. The span lies inside ``<lambda(A), e>`` by construction; the
+    build checks that it contains every ``lambda(a)`` and ``e``, so the two
+    algebras are equal.
     """
     a, b = exp.big, exp.small
     d = a.dim
@@ -108,32 +131,31 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     if fix > tol.eq_tol:
         raise ConstructionError("e fixes the small algebra's coordinates", fix)
 
-    compress = max(
-        op_norm(
-            e_proj @ bc.lambda_stack[s] @ e_proj - bc.lambda_of(exp.values[s]) @ e_proj
-        )
-        for s in range(d)
+    compress = max_op_norm(
+        e_proj @ bc.lambda_stack @ e_proj - bc.lambda_many(exp.values) @ e_proj, tol.eq_tol
     )
     if compress > tol.eq_tol:
         raise ConstructionError("e lambda(a) e = lambda(E(a)) e", compress)
 
+    lam_m = bc.lambda_many(module.elements)
+    lam_b = bc.lambda_many(b.basis)
     commutant = commutant_within(bc.lambda_algebra, [e_proj], tol)
-    lambda_b = np.stack([bc.lambda_of(x) for x in b.basis])
-    containment = commutant._max_span_residual(lambda_b)
+    containment = commutant._max_span_residual(lam_b)
     if commutant.dim != b.dim or containment > tol.eq_tol:
         raise ConstructionError(
             "relative commutant of e inside lambda(A) equals lambda(B)",
             max(containment, float(abs(commutant.dim - b.dim))),
         )
 
-    cover = sum(
-        bc.lambda_of(m) @ e_proj @ adjoint(bc.lambda_of(m)) for m in module.elements
-    )
+    cover = (lam_m @ e_proj @ np.conj(lam_m.transpose(0, 2, 1))).sum(axis=0)
     cover_err = op_norm(cover - np.eye(d))
     if cover_err > tol.eq_tol:
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
-    m1_basis, bc.dual_table = _spanning_family(bc, tol)
+    # unbound, so the family is freed before M1's closure checks run
+    m1_basis, bc.dual_table = _minimum_norm_table(
+        *_spanning_family(bc, lam_m, lam_b), d, tol
+    )
     bc.m1 = StarAlgebra(d, m1_basis, tol)
     generators = np.concatenate([bc.lambda_stack, e_proj[None]])
     contains = bc.m1._max_span_residual(generators)
@@ -142,49 +164,59 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     return bc
 
 
-def _spanning_family(bc: BasicConstruction, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """M1's orthonormal basis and the dual expectation's values on it.
+def _spanning_family(
+    bc: BasicConstruction, lam_m: np.ndarray, lam_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """M1's spanning family, one block per module-basis pair, with its values.
 
-    The family ``lambda(m_j b_t) e lambda(m_k)*`` in the order ``(j, t, k)``
-    carries the prescribed values ``index^{-1} m_j b_t m_k*``.
+    Block ``j * J + k`` holds ``lambda(m_j b_t) e lambda(m_k)*`` over B's
+    basis ``b_t``, flattened to rows of length ``d^2``, and carries the
+    prescribed values ``index^{-1} m_j b_t m_k*``; ``lam_m`` and ``lam_b``
+    are ``lambda`` of the module basis and of B's basis. Blocks of different
+    pairs are orthogonal: with ``e lambda(a) e = lambda(E(a)) e``, the
+    inner product of two members reduces to ``E(m_j* m_j') = delta_jj' p_j``
+    and ``E(m_k'* m_k) = delta_kk' p_k``.
     """
     b = bc.source.small
-    module = np.stack(bc.module_basis.elements)
+    module = bc.module_basis.elements
     module_h = np.conj(module.transpose(0, 2, 1))
-    lam_m = np.stack([bc.lambda_of(m) for m in module])
-    lam_b = np.stack([bc.lambda_of(x) for x in b.basis])
-    left = lam_m[:, None] @ lam_b[None]
-    right = bc.e_proj @ np.conj(lam_m.transpose(0, 2, 1))
-    rows = (left[:, :, None] @ right).reshape(-1, bc.rep_dim**2)
+    left = lam_m[:, None] @ lam_b[None]  # (j, t)
+    right = bc.e_proj @ np.conj(lam_m.transpose(0, 2, 1))  # (k,)
+    blocks = (left[:, None] @ right[None, :, None]).reshape(-1, b.dim, bc.rep_dim**2)
     pre = bc.index.inverse() @ module[:, None] @ b.basis[None]
-    values = (pre[:, :, None] @ module_h).reshape(-1, *module.shape[1:])
-    return _minimum_norm_table(rows, values, bc.rep_dim, tol)
+    values = (pre[:, None] @ module_h[None, :, None]).reshape(-1, *b.basis.shape)
+    return blocks, values
 
 
 def _minimum_norm_table(
-    rows: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
+    blocks: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the span of ``rows`` (flattened ``d x d``
-    matrices) and the minimum-norm linear extension of ``values`` on it.
+    """Orthonormal basis of the span of mutually orthogonal ``blocks`` (each
+    a stack of flattened ``d x d`` matrices) and the minimum-norm linear
+    extension of ``values`` (one matrix per row) on it.
 
-    With the rank-truncated thin SVD ``rows = u diag(s) vh``, the basis is
+    With each block's thin SVD ``u diag(s) vh``, truncated at ``rank_tol``
+    times the largest singular value of all blocks, the basis is
     ``sqrt(d) vh`` (orthonormal in the normalized Hilbert-Schmidt product)
-    and its values are ``sqrt(d) diag(1/s) u^H values``. The prescription
-    is linear only if it vanishes on the family's kernel, i.e. if
-    ``values = u u^H values``; otherwise this raises.
+    and its values are ``sqrt(d) diag(1/s) u^H values``, concatenated over
+    the blocks. Orthogonal blocks make this the thin SVD of the whole family.
+    The prescription is linear only if, on every block, it vanishes on the
+    block's kernel, i.e. ``values = u u^H values``; otherwise this raises.
     """
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol.rank_tol * s[0]))
-    u = u[:, :rank]
-    flat = values.reshape(len(values), -1)
-    coeffs = adjoint(u) @ flat
-    if rank < len(rows):  # a square unitary u makes every prescription consistent
-        drift = (flat - u @ coeffs).reshape(values.shape)
-        inconsistency = max_op_norm(drift, tol.eq_tol)
+    u, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    keep = s > tol.rank_tol * s.max()
+    flat = values.reshape(*values.shape[:2], -1)
+    coeffs = np.conj(np.swapaxes(u, 1, 2)) @ flat
+    # a block whose u is square unitary is consistent with every prescription
+    deficient = keep.sum(axis=1) < blocks.shape[1]
+    if deficient.any():
+        kept_u = u[deficient] * keep[deficient][:, None, :]
+        drift = flat[deficient] - kept_u @ coeffs[deficient]
+        inconsistency = max_op_norm(drift.reshape(-1, *values.shape[2:]), tol.eq_tol)
         if inconsistency > tol.eq_tol:
             raise ConstructionError("dual prescription consistency", inconsistency)
-    basis = (vh[:rank] * np.sqrt(d)).reshape(rank, d, d)
-    table = (coeffs * (np.sqrt(d) / s[:rank])[:, None]).reshape(rank, *values.shape[1:])
+    basis = (vh[keep] * np.sqrt(d)).reshape(-1, d, d)
+    table = (coeffs[keep] * (np.sqrt(d) / s[keep])[:, None]).reshape(-1, *values.shape[2:])
     return basis, table
 
 
@@ -202,7 +234,7 @@ class DualExpectation:
     def __init__(self, bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES):
         self.bc = bc
         self._tol = tol
-        lam_values = np.stack([bc.lambda_of(v) for v in bc.dual_table])
+        lam_values = bc.lambda_many(bc.dual_table)
         self.expectation = CondExpectation(
             inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
             values=lam_values,
@@ -267,9 +299,8 @@ def intermediate_jones_projection(
     ):
         raise ArgumentError("intermediate was built for a different inclusion")
     mb = module_basis if module_basis is not None else orthonormal_basis(ci.E_restricted, tol)
-    e_p = sum(
-        bc.lambda_of(mu) @ bc.e_proj @ adjoint(bc.lambda_of(mu)) for mu in mb.elements
-    )
+    lam = bc.lambda_many(mb.elements)
+    e_p = (lam @ bc.e_proj @ np.conj(lam.transpose(0, 2, 1))).sum(axis=0)
     proj_err = max(op_norm(e_p @ e_p - e_p), op_norm(adjoint(e_p) - e_p))
     if proj_err > tol.eq_tol:
         raise InvariantError(

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import ArgumentError, ConstructionError, InvariantError
 from .expectation import CondExpectation
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, op_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm, op_norms
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,24 @@ def orthonormal_basis(
         )
 
     elements = np.stack(ms)
-    supports = np.stack([exp.apply(adjoint(m) @ m) for m in ms])
-    for j, p in enumerate(supports):
-        err = max(op_norm(p @ p - p), op_norm(adjoint(p) - p))
-        if err > tol.eq_tol:
-            raise ConstructionError("support projection", err, f"element {j}")
-    for j in range(len(ms)):
-        for k in range(j + 1, len(ms)):
-            err = op_norm(exp.apply(adjoint(ms[j]) @ ms[k]))
-            if err > tol.eq_tol:
-                raise ConstructionError("mutual orthogonality", err, f"pair ({j}, {k})")
+    elements_h = np.conj(elements.transpose(0, 2, 1))
+    eq = tol.eq_tol
+    supports = exp.apply_many(elements_h @ elements)
+    idem = supports @ supports - supports
+    herm = np.conj(supports.transpose(0, 2, 1)) - supports
+    if max_op_norm(np.concatenate([idem, herm]), eq) > eq:
+        errs = np.maximum(op_norms(idem), op_norms(herm))
+        j = int(np.argmax(errs > eq))
+        raise ConstructionError("support projection", float(errs[j]), f"element {j}")
+    first, second = np.triu_indices(len(ms), 1)
+    if first.size:
+        overlaps = exp.apply_many(elements_h[first] @ elements[second])
+        if max_op_norm(overlaps, eq) > eq:
+            errs = op_norms(overlaps)
+            i = int(np.argmax(errs > eq))
+            raise ConstructionError(
+                "mutual orthogonality", float(errs[i]), f"pair ({first[i]}, {second[i]})"
+            )
     return ModuleBasis(expectation=exp, elements=elements, support_projections=supports)
 
 

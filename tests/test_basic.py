@@ -4,7 +4,7 @@ import pytest
 import starangles as sa
 from starangles import basic
 from starangles.errors import ArgumentError, ConstructionError
-from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_unitary
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -206,17 +206,75 @@ class TestRankDeficientDual:
             dual.apply(outside)
 
     def test_inconsistent_prescription_rejected(self, s3_tensor_m2):
-        bc, _, family, values = s3_tensor_m2
-        rows = family.reshape(len(family), -1)
+        bc, *_ = s3_tensor_m2
+        blocks, values = family_blocks(bc)
         tol = DEFAULT_TOLERANCES
-        basic._minimum_norm_table(rows, values, bc.rep_dim, tol)  # consistent: no raise
-        # a perturbation along the orthogonal complement of the family's range
-        u = np.linalg.svd(rows, full_matrices=False)[0][:, : bc.dim_m1]
-        noise = np.random.default_rng(12).standard_normal(values.shape).reshape(len(rows), -1)
-        noise = (noise - u @ (adjoint(u) @ noise)).reshape(values.shape)
+        basic._minimum_norm_table(blocks, values, bc.rep_dim, tol)  # consistent: no raise
+        # a perturbation along the orthogonal complement of each block's range
+        u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+        u = u * (s > tol.rank_tol * s.max())[:, None, :]
+        noise = np.random.default_rng(12).standard_normal(values.shape)
+        noise = noise.reshape(*blocks.shape[:2], -1)
+        noise = (noise - u @ (np.conj(np.swapaxes(u, 1, 2)) @ noise)).reshape(values.shape)
         with pytest.raises(ConstructionError) as err:
-            basic._minimum_norm_table(rows, values + 1e-6 * noise, bc.rep_dim, tol)
+            basic._minimum_norm_table(blocks, values + 1e-6 * noise, bc.rep_dim, tol)
         assert err.value.prop == "dual prescription consistency"
+
+
+def family_blocks(bc):
+    """The spanning family's pair blocks and their prescribed values."""
+    lam_m = bc.lambda_many(bc.module_basis.elements)
+    lam_b = bc.lambda_many(bc.source.small.basis)
+    return basic._spanning_family(bc, lam_m, lam_b)
+
+
+@pytest.fixture(scope="module")
+def d4_haar():
+    """C inside C[D4], both conjugated by one Haar unitary."""
+    rep = sa.group_algebra(sa.dihedral(4))
+    u = random_unitary(np.random.default_rng(5), rep.algebra.ambient_dim)
+
+    def conjugate(a):
+        return sa.StarAlgebra(a.ambient_dim, u @ a.basis @ adjoint(u))
+
+    big, small = conjugate(rep.algebra), conjugate(rep.subalgebra(sa.trivial(4)))
+    return basic.build(sa.trace_preserving(sa.Inclusion(big=big, small=small)))
+
+
+class TestPairFactorization:
+    """M1's spanning family splits into orthogonal blocks, one per module pair."""
+
+    @pytest.fixture(params=["s3_tensor_m2", "d4_haar"])
+    def family(self, request):
+        built = request.getfixturevalue(request.param)
+        bc = built[0] if request.param == "s3_tensor_m2" else built
+        blocks, _ = family_blocks(bc)
+        return bc, blocks, blocks.reshape(-1, bc.rep_dim**2)
+
+    def test_gram_is_block_diagonal(self, family):
+        bc, blocks, rows = family
+        gram = np.conj(rows) @ rows.T / bc.rep_dim
+        pair = np.repeat(np.arange(len(blocks)), blocks.shape[1])
+        cross = pair[:, None] != pair[None, :]
+        assert np.abs(gram[cross]).max() < 1e-12
+        assert np.abs(gram[~cross]).max() > 0.1
+
+    def test_block_singular_values_are_the_global_ones(self, family):
+        bc, blocks, rows = family
+        per_block = np.sort(np.linalg.svd(blocks, compute_uv=False).ravel())[::-1]
+        whole = np.linalg.svd(rows, compute_uv=False)
+        assert np.abs(per_block[: len(whole)] - whole).max() < 1e-12 * whole[0]
+        assert np.abs(per_block[len(whole) :]).max(initial=0.0) < 1e-12 * whole[0]
+        cut = DEFAULT_TOLERANCES.rank_tol * whole[0]
+        assert np.sum(per_block > cut) == np.sum(whole > cut) == bc.dim_m1
+
+    def test_m1_equals_span_of_one_global_svd(self, family):
+        bc, _, rows = family
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.sum(s > DEFAULT_TOLERANCES.rank_tol * s[0]))
+        d = bc.rep_dim
+        reference = sa.StarAlgebra(d, (vh[:rank] * np.sqrt(d)).reshape(rank, d, d))
+        assert sa.same_span(bc.m1, reference)
 
 
 class TestIntermediateJonesProjection:

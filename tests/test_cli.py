@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from starangles import cli
+from starangles import cli, errors
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -245,6 +246,31 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["valid"] is True
+
+
+ERROR_CLASSES = [
+    c
+    for _, c in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(c, errors.StarAnglesError) and c is not errors.StarAnglesError
+]
+
+
+class TestExitCodes:
+    """Bad input exits 2, a broken identity exits 3, neither with a traceback."""
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_code(self, error, d4_scenario, monkeypatch, capsys):
+        validation = issubclass(error, errors.ValidationError)
+        assert validation != issubclass(error, errors.NumericalError)
+
+        def fail(scenario):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "build_bundle", fail)
+        assert run_cli(["angle", d4_scenario]) == (2 if validation else 3)
+        err = capsys.readouterr().err
+        assert "injected" in err
+        assert "Traceback" not in err
 
 
 class TestScenarioKinds:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import starangles as sa
-from starangles.errors import ArgumentError, InvariantError
+from starangles.errors import ArgumentError, ConstructionError, InvariantError
 from starangles.linalg import adjoint, op_norm
 
 from conftest import full_matrix_algebra, scalar_algebra
@@ -49,6 +49,33 @@ class TestOrthonormalBasis:
     def test_bad_order_rejected(self, suite_s3):
         with pytest.raises(ArgumentError):
             sa.orthonormal_basis(suite_s3.expectation, order=[0, 0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize(
+        "call, member, prop, detail",
+        [
+            (0, 1, "support projection", "element 1"),
+            (1, 2, "mutual orthogonality", "pair (0, 3)"),  # third pair j < k
+        ],
+    )
+    def test_failing_member_named(self, suite_s3, monkeypatch, call, member, prop, detail):
+        # the final checks read E(m_j* m_j) and then E(m_j* m_k), j < k, each
+        # through one apply_many; skew one member of one of the two stacks
+        apply_many = sa.CondExpectation.apply_many
+        calls = []
+
+        def skewed(exp, stack):
+            out = apply_many(exp, stack)
+            if len(calls) == call:
+                out[member] += 1e-6 * np.eye(out.shape[1])
+            calls.append(len(stack))
+            return out
+
+        monkeypatch.setattr(sa.CondExpectation, "apply_many", skewed)
+        with pytest.raises(ConstructionError) as err:
+            sa.orthonormal_basis(suite_s3.expectation)
+        assert err.value.prop == prop
+        assert str(err.value).endswith(detail)
+        assert 5e-7 < err.value.residual < 1e-5
 
 
 class TestWatataniIndex:
