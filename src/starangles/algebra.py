@@ -8,6 +8,7 @@ reference state on an ambient is always the normalized matrix trace.
 Constructors: generated algebras, group algebras in the left regular
 representation, crossed products by finite permutation-group actions,
 fixed-point algebras, tensoring by a matrix factor, relative commutants.
+Stacked span, closure and generation work runs in ``linalg.batches``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class StarAlgebra:
     basis : array_like
         Stack of matrices, orthonormal under ``<x, y> = tr(x* y) / n``,
         spanning the algebra. Validated on construction.
+
+    Attributes
+    ----------
+    adjoint_coverage, product_coverage : tuple[int, int]
+        Basis adjoints and basis-pair products (drawn with replacement when
+        sampled) the closure checks tested, of ``dim`` and ``dim**2``.
     """
 
     def __init__(self, ambient_dim: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -111,13 +118,11 @@ class StarAlgebra:
         ok, resid = self.contains(self.unit, tol)
         if not ok:
             raise ConstructionError("unit membership", resid)
+        pick = np.arange(self.dim)
         if self.dim > 256:
-            rng = np.random.default_rng(20_260_403)
-            pick = rng.choice(self.dim, 256, replace=False)
-            adjoints = np.conj(np.transpose(self.basis[pick], (0, 2, 1)))
-        else:
-            adjoints = np.conj(np.transpose(self.basis, (0, 2, 1)))
-        adj_resid = self._max_span_residual(adjoints)
+            pick = np.random.default_rng(20_260_403).choice(self.dim, 256, replace=False)
+        self.adjoint_coverage = (len(pick), self.dim)
+        adj_resid = self._max_span_residual(np.conj(np.transpose(self.basis[pick], (0, 2, 1))))
         if adj_resid > tol.eq_tol:
             raise ConstructionError("adjoint closure", adj_resid)
         prod_resid = self._product_closure_residual()
@@ -125,33 +130,30 @@ class StarAlgebra:
             raise ConstructionError("product closure", prod_resid)
 
     def _max_span_residual(self, stack: np.ndarray) -> float:
-        coeffs = self.coords_many(stack)
-        recon = (coeffs @ self._flat).reshape(stack.shape)
-        diffs = (stack - recon).reshape(stack.shape[0], -1)
-        norms = np.linalg.norm(diffs, axis=1) / np.sqrt(self.ambient_dim)
-        return float(norms.max()) if norms.size else 0.0
+        """Largest normalized Hilbert-Schmidt distance from a member of ``stack`` to the span."""
+        n = self.ambient_dim
+        flat = stack.reshape(-1, n * n)
+        worst = 0.0
+        for part in linalg.batches(len(flat), n * n):
+            diffs = flat[part] - self.coords_many(flat[part]) @ self._flat
+            worst = max(worst, float(np.linalg.norm(diffs, axis=1).max() / np.sqrt(n)))
+        return worst
 
     def _product_closure_residual(self) -> float:
+        """Largest span residual of ``a_i a_j`` over the pairs in ``product_coverage``."""
         d = self.dim
         # the check costs O(pairs * dim * ambient^2); keep it within a flop budget
-        budget = max(512, int(2.5e8 / (d * self.ambient_dim**2)))
-        if d * d <= min(_FULL_CLOSURE_CHECK_PAIRS, budget):
-            pairs = [(i, j) for i in range(d) for j in range(d)]
+        count = min(_FULL_CLOSURE_CHECK_PAIRS, max(512, int(2.5e8 / (d * self.ambient_dim**2))))
+        if d * d <= count:
+            left, right = np.divmod(np.arange(d * d), d)
         else:
-            count = min(_FULL_CLOSURE_CHECK_PAIRS, budget)
             rng = np.random.default_rng(20_260_401)
-            pairs = list(
-                zip(rng.integers(0, d, count), rng.integers(0, d, count))
-            )
-        worst = 0.0
-        chunk = 4096
-        for start in range(0, len(pairs), chunk):
-            batch = pairs[start : start + chunk]
-            left = self.basis[[i for i, _ in batch]]
-            right = self.basis[[j for _, j in batch]]
-            products = left @ right
-            worst = max(worst, self._max_span_residual(products))
-        return worst
+            left, right = rng.integers(0, d, count), rng.integers(0, d, count)
+        self.product_coverage = (len(left), d * d)
+        return max(
+            self._max_span_residual(self.basis[left[part]] @ self.basis[right[part]])
+            for part in linalg.batches(len(left), self.ambient_dim**2)
+        )
 
     def __repr__(self) -> str:
         return f"StarAlgebra(ambient={self.ambient_dim}, dim={self.dim})"
@@ -245,11 +247,10 @@ def from_generators(
         sweeps += 1
         if sweeps > n * n:
             raise ConstructionError("closure stabilization", detail="sweep limit exceeded")
-        candidates = (gen_stack[:, None] @ new[None, :]).reshape(-1, n, n)
         survivors = np.zeros((0, q_rows.shape[1]), dtype=complex)
-        chunk = 2048
-        for start in range(0, candidates.shape[0], chunk):
-            rows = rows_of(candidates[start : start + chunk])
+        for part in linalg.batches(len(gen_stack) * len(new), n * n):
+            g, m = np.divmod(np.arange(part.start, part.stop), len(new))
+            rows = rows_of(gen_stack[g] @ new[m])
             rows = _project_off(rows, q_rows)
             rows = _project_off(rows, survivors)
             norms = np.linalg.norm(rows, axis=1)

@@ -32,9 +32,6 @@ from .expectation import (
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
-# complex entries of the products per batch of ``lambda_many``; bounds its temporaries
-_LAMBDA_BATCH_ENTRIES = 1 << 18
-
 
 class BasicConstruction:
     """Matrix realization of lambda(A), e, M1 and the index data."""
@@ -78,14 +75,11 @@ class BasicConstruction:
         n = a.ambient_dim
         stack = np.asarray(stack, dtype=complex)
         out = np.empty((len(stack), self.rep_dim, self.rep_dim), dtype=complex)
-        step = max(1, _LAMBDA_BATCH_ENTRIES // (a.dim * n * n))
-        for start in range(0, len(stack), step):
-            products = stack[start : start + step, None] @ a.basis
+        for part in linalg.batches(len(stack), n * n, a.dim):
+            products = stack[part, None] @ a.basis
             # mult[i, r, s]: coordinate r of stack[i] a_s
             mult = a.coords_many(products.reshape(-1, n, n)).reshape(-1, a.dim, a.dim)
-            out[start : start + step] = (
-                self._gram_sqrt @ np.swapaxes(mult, 1, 2) @ self._gram_inv_sqrt
-            )
+            out[part] = self._gram_sqrt @ np.swapaxes(mult, 1, 2) @ self._gram_inv_sqrt
         return out
 
 

@@ -10,6 +10,7 @@ projection onto it.
 Every expectation built passes one axiom check; bimodularity is checked
 as left and right modularity on basis pairs, exhaustively up to a budget
 and on a seeded sample of that size above it (``verify`` reports coverage).
+Each residual is a maximum over ``linalg.batches``: no table-sized temporary.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ContainmentError,
     IncompatibilityError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, batches, max_op_norm, op_norm
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,23 @@ def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
     a, b = exp.big, exp.small
     if exp.values.shape != (a.dim, a.ambient_dim, a.ambient_dim):
         raise ArgumentError("value table shape does not match the big algebra")
-    eq = tol.eq_tol
-    # inline: a value-sized local would stay alive through the later checks
-    yield "range containment", max_op_norm(
-        exp.values - np.tensordot(b.coords_many(exp.values), b.basis, axes=(1, 0)), eq
+    eq, entries = tol.eq_tol, a.ambient_dim**2
+
+    def worst(count: int, residual) -> float:  # max_op_norm of residual(part), batch by batch
+        return max(max_op_norm(residual(part), eq) for part in batches(count, entries))
+
+    values, small = exp.values, b.basis
+    yield "range containment", worst(
+        a.dim, lambda p: values[p] - np.tensordot(b.coords_many(values[p]), small, axes=(1, 0))
     )
-    yield "fixes the small algebra", max_op_norm(exp.apply_many(b.basis) - b.basis, eq)
+    yield "fixes the small algebra", worst(b.dim, lambda p: exp.apply_many(small[p]) - small[p])
     yield "unitality", op_norm(exp.apply(a.unit) - a.unit)
-    yield "idempotency", max_op_norm(exp.apply_many(exp.values) - exp.values, eq)
-    star_basis = np.conj(np.transpose(a.basis, (0, 2, 1)))
-    star_values = np.conj(np.transpose(exp.values, (0, 2, 1)))
-    yield "adjoint preservation", max_op_norm(exp.apply_many(star_basis) - star_values, eq)
+    yield "idempotency", worst(a.dim, lambda p: exp.apply_many(values[p]) - values[p])
+    yield "adjoint preservation", worst(
+        a.dim,
+        lambda p: exp.apply_many(np.conj(np.swapaxes(a.basis[p], 1, 2)))
+        - np.conj(np.swapaxes(values[p], 1, 2)),
+    )
     yield "bimodule property", _bimodule_violation(exp, tol)
 
 
@@ -104,10 +111,6 @@ def _verify_expectation_axioms(exp: CondExpectation, tol: Tolerances = DEFAULT_T
     for prop, residual in _axiom_residuals(exp, tol):
         if residual > tol.eq_tol:
             raise ConstructionError(prop, residual)
-
-
-# basis pairs per batch of the module check; bounds its temporaries
-_PAIR_CHUNK = 256
 
 
 def _bimodule_coverage(exp: CondExpectation) -> tuple[int, int]:
@@ -131,8 +134,8 @@ def _bimodule_violation(exp: CondExpectation, tol: Tolerances) -> float:
     pairs = total // 2
     worst = 0.0
     for right, side in enumerate((eqs[eqs < pairs], eqs[eqs >= pairs] - pairs)):
-        for start in range(0, len(side), _PAIR_CHUNK):
-            i, s = np.divmod(side[start : start + _PAIR_CHUNK], a.dim)
+        for part in batches(len(side), a.ambient_dim**2):
+            i, s = np.divmod(side[part], a.dim)
             if right:
                 products = a.basis[s] @ b.basis[i]
                 expected = exp.values[s] @ b.basis[i]

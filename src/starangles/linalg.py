@@ -1,7 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Norms, Hermitian functional calculus, Kronecker products, orthonormal
-spans, and the central tolerance policy used everywhere else.
+spans, the central tolerance policy used everywhere else, and the one
+batching rule of stacked checks (``batches``: 4 MB, at least 128 matrices).
 
 Conventions
 -----------
@@ -16,7 +17,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -103,6 +104,22 @@ def max_op_norm(stack: np.ndarray, bound: float) -> float:
         raise DimensionError("max_op_norm requires a nonempty stack of matrices")
     frobenius = float(np.linalg.norm(a, axis=(1, 2)).max())
     return frobenius if frobenius < bound else float(op_norms(a).max())
+
+
+# 4 MB of complex entries per temporary, but at least 128 matrices per batch: smaller
+# batches re-read a large operand (a basis, a value table) too often
+_BATCH_ENTRIES, _BATCH_MIN_MATRICES = 1 << 18, 128
+
+
+def batches(count: int, entries: int, matrices: int = 1) -> Iterator[slice]:
+    """Slices of ``range(count)`` for a stack of items of ``matrices`` matrices of
+    ``entries`` entries each: the one batching rule of every stacked check. The
+    largest ``max_op_norm`` over the batches decides as one call on the whole stack
+    would, and equals that call's value once it reaches ``bound``.
+    """
+    step = max(-(-_BATCH_MIN_MATRICES // matrices), _BATCH_ENTRIES // (entries * matrices))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def hs_norm(m: np.ndarray) -> float:
