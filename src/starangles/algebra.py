@@ -65,7 +65,6 @@ class StarAlgebra:
         self.ambient_dim = int(ambient_dim)
         self.basis = stack
         self._flat = stack.reshape(stack.shape[0], -1)
-        self._coords_mat = np.ascontiguousarray(np.conj(self._flat).T)
         self.basis.setflags(write=False)
         self._validate(tol)
 
@@ -81,11 +80,12 @@ class StarAlgebra:
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of ``x`` in the orthonormal basis."""
-        return np.asarray(x, dtype=complex).ravel() @ self._coords_mat / self.ambient_dim
+        return self.coords_many(np.asarray(x, dtype=complex).reshape(1, -1))[0]
 
     def coords_many(self, stack: np.ndarray) -> np.ndarray:
+        # conjugating the argument, not the basis, keeps no copy of the basis
         flat = np.asarray(stack, dtype=complex).reshape(stack.shape[0], -1)
-        return flat @ self._coords_mat / self.ambient_dim
+        return np.conj(np.conj(flat) @ self._flat.T) / self.ambient_dim
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return (np.asarray(coeffs, dtype=complex) @ self._flat).reshape(
@@ -111,7 +111,8 @@ class StarAlgebra:
     # -- validation ------------------------------------------------------
 
     def _validate(self, tol: Tolerances):
-        gram = self._coords_mat.T @ self._flat.T / self.ambient_dim
+        parts = linalg.batches(self.dim, self.ambient_dim**2)
+        gram = np.concatenate([self.coords_many(self._flat[p]) for p in parts])  # transposed
         gram_err = linalg.op_norm(gram - np.eye(self.dim))
         if gram_err > tol.eq_tol:
             raise ConstructionError("basis orthonormality", gram_err)

@@ -63,11 +63,11 @@ class AngleContext:
 
     Per context: the basic construction, the dual expectation, the module
     basis, the index and its inverse. Per intermediate, each computed on
-    first use: the restricted module basis and index, the Jones
-    projection, and the two routes' denominators, ``|E1(z_P)|^(1/2)``
-    (definition) and ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A
-    pair then costs one numerator per route: on the definition route, one
-    dual-expectation solve on ``z_P z_Q``.
+    first use: the restricted module basis and index (quasi-basis route),
+    the Jones projection, and the two routes' denominators,
+    ``|E1(z_P)|^(1/2)`` (definition) and ``|ind^{-1}(ind_P - 1)|^(1/2)``
+    (quasi-basis). A pair then costs one numerator per route: on the
+    definition route, one dual-expectation solve on ``z_P z_Q``.
     """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -83,20 +83,14 @@ class AngleContext:
 
     @property
     def module_basis(self) -> ModuleBasis:
-        if self._module is None:
-            if self._bc is not None:
-                self._module = self._bc.module_basis
-            else:
-                self._module = orthonormal_basis(self.expectation, self.tol)
+        if self._module is None:  # building bc sets it too
+            self._module = orthonormal_basis(self.expectation, self.tol)
         return self._module
 
     @property
     def index(self) -> WatataniIndex:
         if self._index is None:
-            if self._bc is not None:
-                self._index = self._bc.index
-            else:
-                self._index = watatani_index(self.module_basis, self.tol)
+            self._index = watatani_index(self.module_basis, self.tol)
         return self._index
 
     @property
@@ -137,9 +131,7 @@ class AngleContext:
     def jones_projection(self, ci: CompatibleIntermediate) -> np.ndarray:
         cache = self._cache(ci)
         if "jones" not in cache:
-            cache["jones"] = basic.intermediate_jones_projection(
-                self.bc, ci, self.tol, module_basis=self.restricted_basis(ci)
-            )
+            cache["jones"] = basic.intermediate_jones_projection(self.bc, ci, self.tol)
         return cache["jones"]
 
     def definition_denominator(self, ci: CompatibleIntermediate) -> float:
@@ -207,6 +199,7 @@ def _finish_report(
     tol: Tolerances,
     commuting: tuple[bool, float] | None,
     provenance: str,
+    same: bool = False,
 ) -> AngleReport:
     per_path: dict[str, float] = {}
     for name, (num, dens) in per_path_fragments.items():
@@ -227,7 +220,10 @@ def _finish_report(
                 f"computation paths disagree ({disagreement:.3e}); "
                 f"per-path cosines {per_path}"
             )
-    cos_value = min(max(raw, 0.0), 1.0)
+    # equal spans: angle exactly 0, as acos turns a cosine of 1 - 1e-15 into 5e-8
+    if same and abs(raw - 1.0) > tol.angle_tol:
+        raise InvariantError(f"an intermediate against itself has cosine {raw!r}")
+    cos_value = 1.0 if same else min(max(raw, 0.0), 1.0)
     num, dens = per_path_fragments[primary]
     return AngleReport(
         cos_value=cos_value,
@@ -276,12 +272,14 @@ def interior_angle(
         fragments["definition"] = _definition_cosine(ctx, p, q)
         commuting = is_commuting_square(exp, p, q, tol, ctx)
     primary = "definition" if "definition" in fragments else "quasibasis"
-    provenance = (
-        f"module bases: |P|={len(ctx.restricted_basis(p))}, "
-        f"|Q|={len(ctx.restricted_basis(q))}, |A over B|={len(ctx.module_basis)}; "
-        f"greedy partial-isometry construction in basis order"
-    )
-    return _finish_report(path, fragments, primary, tol, commuting, provenance)
+    sizes = f"|A over B|={len(ctx.module_basis)}"
+    if "quasibasis" in fragments:
+        sizes = (
+            f"|P|={len(ctx.restricted_basis(p))}, |Q|={len(ctx.restricted_basis(q))}, {sizes}"
+        )
+    provenance = f"module bases: {sizes}; greedy partial-isometry construction in basis order"
+    same = same_span(p.P, q.P, tol)
+    return _finish_report(path, fragments, primary, tol, commuting, provenance, same)
 
 
 def is_commuting_square(

@@ -3,17 +3,22 @@
 The big algebra, viewed as a ``d``-dimensional complex coordinate space
 (``d = dim A``) under the inner product ``<x, y> = tr(E(x* y)) / n``,
 carries left multiplication ``lambda(a)`` and the Jones projection ``e``
-implementing the expectation. The basic construction ``M1 = <lambda(A), e>``
-is realized as the linear span of ``lambda(m_j b) e lambda(m_k)*`` over an
-orthonormal module basis ``{m_j}`` (``E(m_j* m_k) = delta_jk p_j``) and a
-basis of B. Since ``e lambda(a) e = lambda(E(a)) e``, the pieces for
-different pairs ``(j, k)`` are mutually orthogonal and the pair ``(j, k)``
-spans a copy of ``p_j B p_k``, so ``M1 = sum_{j,k} p_j B p_k`` as an
-orthogonal direct sum (Watatani, 1990). One small thin SVD per pair gives
-M1's orthonormal basis and the dual expectation's value table on it: the
-minimum-norm extension of ``lambda(x) e lambda(y) -> index^{-1} x y``.
-The family itself is not kept; evaluating the dual takes M1 coordinates,
-checks the residual and contracts with the table.
+implementing the expectation: each is the image ``G^{1/2} X G^{-1/2}`` of
+the coordinate matrix ``X`` of a linear map on A (left multiplication, E),
+for the Gram matrix ``G`` of the inner product on A's basis; so is the
+Jones projection ``e_P`` of a compatible intermediate, from its
+expectation ``F_P``, which preserves the inner product. The basic
+construction ``M1 = <lambda(A), e>`` is realized as the linear span of
+``lambda(m_j b) e lambda(m_k)*`` over an orthonormal module basis
+``{m_j}`` (``E(m_j* m_k) = delta_jk p_j``) and a basis of B. Since
+``e lambda(a) e = lambda(E(a)) e``, the pieces for different pairs
+``(j, k)`` are mutually orthogonal and the pair ``(j, k)`` spans a copy of
+``p_j B p_k``, so ``M1 = sum_{j,k} p_j B p_k`` as an orthogonal direct sum
+(Watatani, 1990). One small thin SVD per pair gives M1's orthonormal basis
+and the dual expectation's value table on it: the minimum-norm extension
+of ``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not
+kept; evaluating the dual takes M1 coordinates, checks the residual and
+contracts with the table.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class BasicConstruction:
         self._gram_sqrt = gram_sqrt
         self._gram_inv_sqrt = gram_inv_sqrt
         self.lambda_stack = self.lambda_many(source.big.basis)
-        self.e_proj = gram_sqrt @ source.coefficient_matrix() @ gram_inv_sqrt
+        self.e_proj = self._on_module(source.coefficient_matrix())
         self.lambda_algebra: StarAlgebra | None = None
         self.m1: StarAlgebra | None = None
         # values of the dual expectation on M1's basis, inside the big algebra
@@ -64,6 +69,10 @@ class BasicConstruction:
     def phi(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of an algebra element in the module picture."""
         return self._gram_sqrt @ self.source.big.coords(x)
+
+    def _on_module(self, x: np.ndarray) -> np.ndarray:
+        """``G^{1/2} x G^{-1/2}``: the operator of the map on A with coordinate matrix ``x``."""
+        return self._gram_sqrt @ x @ self._gram_inv_sqrt
 
     def lambda_of(self, m: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by ``m`` on the coordinates."""
@@ -79,7 +88,7 @@ class BasicConstruction:
             products = stack[part, None] @ a.basis
             # mult[i, r, s]: coordinate r of stack[i] a_s
             mult = a.coords_many(products.reshape(-1, n, n)).reshape(-1, a.dim, a.dim)
-            out[part] = self._gram_sqrt @ np.swapaxes(mult, 1, 2) @ self._gram_inv_sqrt
+            out[part] = self._on_module(np.swapaxes(mult, 1, 2))
         return out
 
 
@@ -278,23 +287,21 @@ def intermediate_jones_projection(
     bc: BasicConstruction,
     ci: CompatibleIntermediate,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    module_basis: ModuleBasis | None = None,
 ) -> np.ndarray:
     """Jones projection of a compatible intermediate inside M1.
 
-    Computed as ``sum_j lambda(mu_j) e lambda(mu_j)*`` over a quasi-basis
-    of the restricted expectation; the result depends only on the
-    compatible expectation, not on the quasi-basis chosen.
+    ``e_P = G^{1/2} [F_P] G^{-1/2}`` as ``e`` is built from ``[E]``, with
+    ``[F_P]`` on the construction's basis of A; it equals
+    ``sum_j lambda(mu_j) e lambda(mu_j)*`` for every quasi-basis ``{mu_j}``
+    of the restricted expectation.
     """
-    exp = bc.source
+    a = bc.source.big
     if not (
-        alg.same_span(ci.F.inclusion.big, exp.big, tol)
-        and alg.same_span(ci.E_restricted.inclusion.small, exp.small, tol)
+        alg.same_span(ci.F.inclusion.big, a, tol)
+        and alg.same_span(ci.E_restricted.inclusion.small, bc.source.small, tol)
     ):
         raise ArgumentError("intermediate was built for a different inclusion")
-    mb = module_basis if module_basis is not None else orthonormal_basis(ci.E_restricted, tol)
-    lam = bc.lambda_many(mb.elements)
-    e_p = (lam @ bc.e_proj @ np.conj(lam.transpose(0, 2, 1))).sum(axis=0)
+    e_p = bc._on_module(a.coords_many(ci.F.apply_many(a.basis)).T)
     proj_err = max(op_norm(e_p @ e_p - e_p), op_norm(adjoint(e_p) - e_p))
     if proj_err > tol.eq_tol:
         raise InvariantError(
@@ -305,12 +312,4 @@ def intermediate_jones_projection(
     )
     if absorb > tol.eq_tol:
         raise InvariantError(f"e_P e = e = e e_P fails ({absorb:.3e})")
-    action = max(
-        float(np.linalg.norm(e_p @ bc.phi(x) - bc.phi(ci.F.apply(x))))
-        for x in exp.big.basis
-    )
-    if action > tol.eq_tol:
-        raise InvariantError(
-            f"e_P does not act as the compatible expectation ({action:.3e})"
-        )
     return e_p

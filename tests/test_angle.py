@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ class TestInteriorAngle:
         rep = sa.interior_angle(
             suite_d4.expectation, ci, ci, path="both", ctx=suite_d4.ctx
         )
-        assert rep.cos_value == pytest.approx(1.0, abs=1e-10)
-        assert rep.angle == pytest.approx(0.0, abs=1e-5)
+        assert rep.cos_value == 1.0
+        assert rep.angle == 0.0
 
     def test_s3_transversal_pair_is_orthogonal(self, suite_s3):
         k = sa.closure(3, [sa.parse_cycles("(1 2 3)", 3)])
@@ -76,6 +77,23 @@ class TestInteriorAngle:
             oracle = sa.group_oracle_cosine(g, h, gk, gl)
             assert rep.cos_value == pytest.approx(oracle, abs=1e-8)
 
+    def test_definition_route_builds_no_restricted_module_basis(self, suite_d4, monkeypatch):
+        from starangles import angle as angle_module, basic as basic_module
+
+        built_for = []
+
+        def recording(exp, *args, **kwargs):
+            built_for.append(exp)
+            return sa.orthonormal_basis(exp, *args, **kwargs)
+
+        for module in (angle_module, basic_module):
+            monkeypatch.setattr(module, "orthonormal_basis", recording)
+        ci, cj = suite_d4.compat[0], suite_d4.compat[-1]
+        ctx = sa.AngleContext(suite_d4.expectation)
+        rep = sa.interior_angle(suite_d4.expectation, ci, cj, path="definition", ctx=ctx)
+        assert built_for == [suite_d4.expectation]
+        assert "|P|" not in rep.provenance
+
     def test_quasibasis_path_alone(self, suite_s3):
         ci, cj = suite_s3.compat[0], suite_s3.compat[-1]
         rep = sa.interior_angle(
@@ -121,6 +139,13 @@ class TestCommutingSquare:
             )
             assert flag == (sa.intersect(gk, gl) == h)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_group_characterization_under_conjugation(self, seed):
+        exp, cis, ctx = conjugated_d4(seed)
+        for i, j in itertools.product(range(len(cis)), repeat=2):
+            flag, _ = sa.is_commuting_square(exp, cis[i], cis[j], ctx=ctx)
+            assert flag == (sa.intersect(D4_PROPER[i], D4_PROPER[j]) == sa.trivial(4))
+
     def test_intersecting_pair_is_not_commuting(self, suite_d4):
         r = sa.parse_cycles("(1 2 3 4)", 4)
         s = sa.parse_cycles("(1 3)", 4)
@@ -140,8 +165,8 @@ class TestExteriorAngle:
     def test_equal_intermediates_give_zero(self, suite_d4):
         ci = suite_d4.compat[0]
         rep = sa.exterior_angle(suite_d4.expectation, ci, ci, ctx=suite_d4.ctx)
-        assert rep.angle == pytest.approx(0.0, abs=1e-5)
-        assert rep.cos_value == pytest.approx(1.0, abs=1e-9)
+        assert rep.angle == 0.0
+        assert rep.cos_value == 1.0
 
     def test_angle_in_range(self, suite_s3):
         ci, cj = suite_s3.compat[0], suite_s3.compat[-1]
@@ -173,22 +198,26 @@ class TestExteriorAngle:
         assert err.value.residual == 0.5
 
 
+# the 8 proper intermediate subgroups of D4 over the trivial group
+D4_PROPER = [
+    m for m in sa.intermediate_subgroups(sa.dihedral(4), sa.trivial(4)) if len(m) not in (1, 8)
+]
+
+
 @functools.lru_cache(maxsize=None)
 def conjugated_d4(seed: int):
     """C inside C[D4] conjugated by a Haar unitary, its 8 proper compatible
     intermediates, and one context shared by the tests that only read it."""
-    g, h = sa.dihedral(4), sa.trivial(4)
-    rep = sa.group_algebra(g)
+    rep = sa.group_algebra(sa.dihedral(4))
     u = random_unitary(np.random.default_rng(seed), 8)
 
     def conjugate(algebra):
         return sa.StarAlgebra(8, u @ algebra.basis @ adjoint(u))
 
     exp = sa.trace_preserving(
-        sa.Inclusion(big=conjugate(rep.algebra), small=conjugate(rep.subalgebra(h)))
+        sa.Inclusion(big=conjugate(rep.algebra), small=conjugate(rep.subalgebra(sa.trivial(4))))
     )
-    proper = [m for m in sa.intermediate_subgroups(g, h) if len(m) not in (1, 8)]
-    cis = tuple(sa.make_compatible(exp, conjugate(rep.subalgebra(m))) for m in proper)
+    cis = tuple(sa.make_compatible(exp, conjugate(rep.subalgebra(m))) for m in D4_PROPER)
     return exp, cis, sa.AngleContext(exp)
 
 
@@ -363,4 +392,24 @@ class TestOracle:
                 DEFAULT_TOLERANCES,
                 None,
                 "synthetic",
+            )
+
+    def test_equal_spans_do_not_hide_a_broken_route(self):
+        # an intermediate against itself reads angle 0 only if its cosine is ~1
+        from starangles.angle import _finish_report
+
+        fragments = {"quasibasis": (1.0 - 1.5e-15, (1.0, 1.0))}
+        rep = _finish_report(
+            "quasibasis", fragments, "quasibasis", DEFAULT_TOLERANCES, None, "", same=True
+        )
+        assert (rep.cos_value, rep.angle, rep.raw_cos) == (1.0, 0.0, 1.0 - 1.5e-15)
+        with pytest.raises(InvariantError):
+            _finish_report(
+                "quasibasis",
+                {"quasibasis": (0.5, (1.0, 1.0))},
+                "quasibasis",
+                DEFAULT_TOLERANCES,
+                None,
+                "",
+                same=True,
             )

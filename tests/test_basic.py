@@ -277,6 +277,16 @@ class TestPairFactorization:
         assert sa.same_span(bc.m1, reference)
 
 
+def assert_matches_quasi_basis_sums(bc, ci):
+    """``e_P`` equals ``sum_j lambda(mu_j) e lambda(mu_j)*`` for restricted
+    module bases built in forward and in reversed basis order."""
+    e_p = basic.intermediate_jones_projection(bc, ci)
+    for order in (None, list(range(ci.P.dim))[::-1]):
+        lam = bc.lambda_many(sa.orthonormal_basis(ci.E_restricted, order=order).elements)
+        quasi_basis_sum = (lam @ bc.e_proj @ np.conj(lam.transpose(0, 2, 1))).sum(axis=0)
+        assert op_norm(e_p - quasi_basis_sum) < 1e-9
+
+
 class TestIntermediateJonesProjection:
     def test_small_algebra_returns_e(self, suite_s3):
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.small)
@@ -301,14 +311,45 @@ class TestIntermediateJonesProjection:
             assert np.linalg.norm(e_p @ vec - expected) < 1e-10
 
     def test_independent_of_quasi_basis(self, suite_d4):
-        ci = suite_d4.compat[-1]
+        # e_P = sum_j lambda(mu_j) e lambda(mu_j)* for any quasi-basis {mu_j}
         bc = suite_d4.ctx.bc
-        mb1 = sa.orthonormal_basis(ci.E_restricted)
-        order = list(range(ci.P.dim))[::-1]
-        mb2 = sa.orthonormal_basis(ci.E_restricted, order=order)
-        e1 = basic.intermediate_jones_projection(bc, ci, module_basis=mb1)
-        e2 = basic.intermediate_jones_projection(bc, ci, module_basis=mb2)
-        assert op_norm(e1 - e2) < 1e-9
+        for ci in suite_d4.compat:
+            assert_matches_quasi_basis_sums(bc, ci)
+
+    def test_independent_of_quasi_basis_one_floor_up(self, suite_d4):
+        # the dual expectation's table, where greedy bases amplify rounding to ~1e-10
+        ctx = suite_d4.ctx
+        for ci in suite_d4.compat:
+            assert_matches_quasi_basis_sums(ctx.upper.bc, ctx.first_floor(ci))
+
+    def test_independent_of_quasi_basis_for_a_non_tracial_state(self):
+        # E = tr(h .) 1 on M_3 with h diagonal: the state's Gram matrix is not 1,
+        # and diagonal intermediates are compatible; [F_P] commutes with the Gram
+        # matrix only when P contains h
+        n = 3
+        h = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        big = full_matrix_algebra(n)
+        values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
+        small = scalar_algebra(n)
+        exp = sa.expectation_from_values(sa.Inclusion(big=big, small=small), values)
+        bc = basic.build(exp)
+        assert op_norm(bc._gram_sqrt - np.eye(bc.rep_dim)) > 0.1
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        blocks = sa.from_span(n, [units[0] + units[4], units[8]])
+        diagonal = sa.from_span(n, list(units[[0, 4, 8]]))
+        for p in (small, blocks, diagonal):
+            assert_matches_quasi_basis_sums(bc, sa.make_compatible(exp, p))
+
+    def test_intermediate_over_another_basis_of_a(self, suite_d4):
+        # the same A and P, with F_P's table indexed by a rotated basis of A
+        a = suite_d4.algebra
+        w = random_unitary(np.random.default_rng(3), a.dim)
+        rotated = sa.StarAlgebra(a.ambient_dim, np.tensordot(w, a.basis, axes=(1, 0)))
+        exp = sa.trace_preserving(sa.Inclusion(big=rotated, small=suite_d4.small))
+        bc = suite_d4.ctx.bc
+        for ci in suite_d4.compat:
+            e_p = basic.intermediate_jones_projection(bc, sa.make_compatible(exp, ci.P))
+            assert op_norm(e_p - basic.intermediate_jones_projection(bc, ci)) < 1e-10
 
     def test_foreign_intermediate_rejected(self, suite_s3, suite_d4):
         bc = suite_s3.ctx.bc

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -190,6 +191,14 @@ class TestLattice:
         assert results["max_discrepancy"] < 1e-8
         csv_text = (tmp_path / "d4_pair_lattice.csv").read_text()
         assert len(csv_text.strip().splitlines()) == 9  # header + 8 rows
+
+    @pytest.mark.parametrize("name", ["d4_pair", "crossed_product_d4"])
+    def test_lattice_diagonal_is_exactly_zero(self, name, tmp_path):
+        assert run_cli(["lattice", SCENARIOS / f"{name}.json", "--out", tmp_path]) == 0
+        with (tmp_path / f"{name}_lattice.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 8
+        assert [row[1 + i] for i, row in enumerate(rows)] == ["0.000000000000"] * len(rows)
 
     def test_s3_lattice_all_right_angles(self, tmp_path):
         assert run_cli(["lattice", SCENARIOS / "s3_pair.json", "--out", tmp_path]) == 0
