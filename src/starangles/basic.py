@@ -7,7 +7,9 @@ implementing the expectation: each is the image ``G^{1/2} X G^{-1/2}`` of
 the coordinate matrix ``X`` of a linear map on A (left multiplication, E),
 for the Gram matrix ``G`` of the inner product on A's basis; so is the
 Jones projection ``e_P`` of a compatible intermediate, from its
-expectation ``F_P``, which preserves the inner product. The basic
+expectation ``F_P``, which preserves the inner product. Products are
+taken only on A's basis, once per construction: lambda is linear, so
+lambda of any element is its A-coordinates times that stack. The basic
 construction ``M1 = <lambda(A), e>`` is realized as the linear span of
 ``lambda(m_j b) e lambda(m_k)*`` over an orthonormal module basis
 ``{m_j}`` (``E(m_j* m_k) = delta_jk p_j``) and a basis of B. Since
@@ -55,7 +57,7 @@ class BasicConstruction:
         self.rep_dim = source.big.dim
         self._gram_sqrt = gram_sqrt
         self._gram_inv_sqrt = gram_inv_sqrt
-        self.lambda_stack = self.lambda_many(source.big.basis)
+        self.lambda_stack = self._lambda_of_basis()
         self.e_proj = self._on_module(source.coefficient_matrix())
         self.lambda_algebra: StarAlgebra | None = None
         self.m1: StarAlgebra | None = None
@@ -79,14 +81,22 @@ class BasicConstruction:
         return self.lambda_many(np.asarray(m, dtype=complex)[None])[0]
 
     def lambda_many(self, stack: np.ndarray) -> np.ndarray:
-        """``lambda_of`` of each matrix in a stack."""
+        """``lambda_of`` of each matrix in a stack: ``coords_A(stack) . lambda_stack``.
+
+        lambda is linear, and an argument ``y`` outside A acts as its
+        A-projection, since ``<a_r, y a_s> = <a_r a_s*, y>``.
+        """
+        coeffs = self.source.big.coords_many(np.asarray(stack, dtype=complex))
+        return np.tensordot(coeffs, self.lambda_stack, axes=(1, 0))
+
+    def _lambda_of_basis(self) -> np.ndarray:
+        """lambda of A's basis, from the A-coordinates of the products ``a_i a_s``."""
         a = self.source.big
         n = a.ambient_dim
-        stack = np.asarray(stack, dtype=complex)
-        out = np.empty((len(stack), self.rep_dim, self.rep_dim), dtype=complex)
-        for part in linalg.batches(len(stack), n * n, a.dim):
-            products = stack[part, None] @ a.basis
-            # mult[i, r, s]: coordinate r of stack[i] a_s
+        out = np.empty((a.dim, self.rep_dim, self.rep_dim), dtype=complex)
+        for part in linalg.batches(a.dim, n * n, a.dim):
+            products = a.basis[part, None] @ a.basis
+            # mult[i, r, s]: coordinate r of a_i a_s
             mult = a.coords_many(products.reshape(-1, n, n)).reshape(-1, a.dim, a.dim)
             out[part] = self._on_module(np.swapaxes(mult, 1, 2))
         return out
@@ -206,10 +216,12 @@ def _minimum_norm_table(
     The prescription is linear only if, on every block, it vanishes on the
     block's kernel, i.e. ``values = u u^H values``; otherwise this raises.
     """
-    u, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    # SVD of each block's tall transpose: blocks = vt^T diag(s) ut^T
+    ut, s, vt = np.linalg.svd(np.swapaxes(blocks, 1, 2), full_matrices=False)
+    u, vh = np.swapaxes(vt, 1, 2), np.swapaxes(ut, 1, 2)
     keep = s > tol.rank_tol * s.max()
     flat = values.reshape(*values.shape[:2], -1)
-    coeffs = np.conj(np.swapaxes(u, 1, 2)) @ flat
+    coeffs = np.conj(vt) @ flat  # u^H values
     # a block whose u is square unitary is consistent with every prescription
     deficient = keep.sum(axis=1) < blocks.shape[1]
     if deficient.any():

@@ -168,6 +168,16 @@ class TestExteriorAngle:
         assert rep.angle == 0.0
         assert rep.cos_value == 1.0
 
+    def test_transversal_pair_is_a_right_angle(self, suite_s3):
+        # K = A3, L = <(1 2)> in C[S3]: cos = 0 exactly; the bound sits far below
+        # angle_tol, so rounding growth one floor up shows long before it fails
+        k = sa.closure(3, [sa.parse_cycles("(1 2 3)", 3)])
+        ell = sa.closure(3, [sa.parse_cycles("(1 2)", 3)])
+        ci_k = sa.make_compatible(suite_s3.expectation, suite_s3.rep.subalgebra(k))
+        ci_l = sa.make_compatible(suite_s3.expectation, suite_s3.rep.subalgebra(ell))
+        rep = sa.exterior_angle(suite_s3.expectation, ci_k, ci_l, ctx=suite_s3.ctx)
+        assert abs(rep.raw_cos) <= 1e-10
+
     def test_angle_in_range(self, suite_s3):
         ci, cj = suite_s3.compat[0], suite_s3.compat[-1]
         rep = sa.exterior_angle(suite_s3.expectation, ci, cj, ctx=suite_s3.ctx)

@@ -4,7 +4,7 @@ import pytest
 import starangles as sa
 from starangles import basic
 from starangles.errors import ArgumentError, ConstructionError
-from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_unitary
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_matrix, random_unitary
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -85,6 +85,24 @@ class TestBuild:
             bc = suite.ctx.bc
             commutant = sa.algebra.commutant_within(bc.lambda_algebra, [bc.e_proj])
             assert commutant.dim == suite.small.dim, suite.name
+
+    @pytest.mark.parametrize("floor", ["first", "upper"])
+    def test_lambda_by_linearity(self, suite_d4, floor):
+        # lambda(y) = G^{1/2} [L_y] G^{-1/2}, [L_y][r, s] the coordinate r of y a_s;
+        # outside A this is lambda of the A-projection
+        bc = suite_d4.ctx.bc if floor == "first" else suite_d4.ctx.upper.bc
+        a = bc.source.big
+        rng = np.random.default_rng(11)
+        stacks = (
+            np.stack([a.random_element(rng) for _ in range(3)]),
+            np.stack([random_matrix(rng, a.ambient_dim) for _ in range(3)]),
+            bc.module_basis.elements,
+        )
+        for ys in stacks:
+            reference = np.stack(
+                [bc._gram_sqrt @ a.coords_many(y @ a.basis).T @ bc._gram_inv_sqrt for y in ys]
+            )
+            assert np.abs(bc.lambda_many(ys) - reference).max() < 1e-12
 
 
 class TestTheta:

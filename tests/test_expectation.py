@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import starangles as sa
 from starangles.errors import ConstructionError, ContainmentError, IncompatibilityError
 from starangles.expectation import _verify_expectation_axioms
-from starangles.linalg import adjoint, op_norm, random_unitary
+from starangles.linalg import adjoint, op_norm, random_matrix, random_unitary
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -284,6 +284,57 @@ class TestNonTracial:
             ]
         )
         assert np.abs(ci.F.values - slices).max() < 1e-10
+
+
+def assert_apply_reproduces_table(exp: sa.CondExpectation, seed: int, name: str = "E"):
+    """``apply_many`` equals ``coords_A(x) . values``, inside span(B), on elements
+    of A and on arbitrary ambient matrices."""
+    rng = np.random.default_rng(seed)
+    a = exp.big
+    inside = np.stack([a.random_element(rng) for _ in range(3)])
+    ambient = np.stack([random_matrix(rng, a.ambient_dim) for _ in range(3)])
+    for x in (inside, ambient):
+        image = exp.apply_many(x)
+        table = np.tensordot(a.coords_many(x), exp.values, axes=(1, 0))
+        assert np.abs(image - table).max() < 1e-12, name
+        assert exp.small._max_span_residual(image) < 1e-13, name
+
+
+@pytest.fixture(scope="module")
+def tower_expectations(suite_d4):
+    """Every kind of expectation a tower builds, on C[D4] over C."""
+    big = sa.tensor_by_factor(suite_d4.algebra, 2)
+    small = sa.tensor_by_factor(suite_d4.small, 2)
+    named = {
+        "E": suite_d4.expectation,
+        "E on C[D4] (x) M_2 over M_2": sa.trace_preserving(sa.Inclusion(big=big, small=small)),
+        "E1": suite_d4.ctx.dual.expectation,
+        "E2": suite_d4.ctx.upper.dual.expectation,
+    }
+    for i, ci in enumerate(suite_d4.compat):
+        named[f"F_P{i}"], named[f"E|_P{i}"] = ci.F, ci.E_restricted
+    return named
+
+
+class TestApplyThroughSmallCoordinates:
+    """One apply path, through B's coordinates, reproduces the value table."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_tower_expectations(self, tower_expectations, seed):
+        for name, exp in tower_expectations.items():
+            assert_apply_reproduces_table(exp, seed, name)
+
+    @given(faithful_states(), st.integers(0, 2**32 - 1))
+    def test_state_expectation(self, state, seed):
+        exp = state_expectation(*state)
+        assert_apply_reproduces_table(exp, seed)
+        # on a Haar-rotated basis of M_n both the basis and the table are complex,
+        # where a lost conjugation shows
+        u = random_unitary(np.random.default_rng(seed), exp.big.ambient_dim)
+        big = sa.StarAlgebra(exp.big.ambient_dim, u @ exp.big.basis @ adjoint(u))
+        values = np.tensordot(exp.big.coords_many(big.basis), exp.values, axes=(1, 0))
+        rotated = sa.CondExpectation(sa.Inclusion(big=big, small=exp.small), values)
+        assert_apply_reproduces_table(rotated, seed, "E on a rotated basis")
 
 
 class TestIndPEstimate:
