@@ -113,7 +113,7 @@ class StarAlgebra:
     def _validate(self, tol: Tolerances):
         parts = linalg.batches(self.dim, self.ambient_dim**2)
         gram = np.concatenate([self.coords_many(self._flat[p]) for p in parts])  # transposed
-        gram_err = linalg.op_norm(gram - np.eye(self.dim))
+        gram_err = linalg.max_op_norm((gram - np.eye(self.dim))[None], tol.eq_tol)
         if gram_err > tol.eq_tol:
             raise ConstructionError("basis orthonormality", gram_err)
         ok, resid = self.contains(self.unit, tol)
@@ -337,12 +337,10 @@ def tensor_by_factor(
 def regular_representation(group: PermGroup) -> dict[Perm, np.ndarray]:
     """Left regular representation; permutation matrix per group element."""
     order = len(group)
-    idx = {g: i for i, g in enumerate(group.elements)}
     out: dict[Perm, np.ndarray] = {}
-    for g in group.elements:
+    for g, row in zip(group.elements, group.mul):
         mat = np.zeros((order, order), dtype=complex)
-        for h in group.elements:
-            mat[idx[g * h], idx[h]] = 1.0
+        mat[row, range(order)] = 1.0
         out[g] = mat
     return out
 

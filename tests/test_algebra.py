@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,43 @@ class TestStarAlgebraInvariants:
         assert not member
         # sigma_z is HS-orthogonal to span{1, sigma_x}
         assert residual == pytest.approx(sa.hs_norm(SIGMA_Z), abs=1e-12)
+
+
+def matrix_units(n: int) -> np.ndarray:
+    """The normalized matrix units sqrt(n) e_ij, an exactly orthonormal basis of M_n."""
+    units = np.zeros((n * n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            units[i * n + j, i, j] = np.sqrt(n)
+    return units
+
+
+class TestGramScreen:
+    """Orthonormality is decided by a Frobenius screen, with the exact norm on failure."""
+
+    def test_rejection_carries_operator_norm(self):
+        basis = matrix_units(2)
+        basis[1] *= 1 + 1e-9
+        flat = basis.reshape(4, -1)
+        gram = np.conj(flat) @ flat.T / 2
+        with pytest.raises(sa.ConstructionError) as err:
+            sa.StarAlgebra(2, basis)
+        assert err.value.prop == "basis orthonormality"
+        assert abs(err.value.residual - np.linalg.norm(gram - np.eye(4), 2)) < 1e-15
+
+    def test_small_error_accepted(self):
+        basis = matrix_units(2)
+        basis[1] *= 1 + 2e-10
+        assert sa.StarAlgebra(2, basis).dim == 4
+
+    def test_valid_basis_takes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD taken")
+
+        # np.linalg.norm(x, 2) calls the svd of numpy's internal linalg module
+        for module in {np.linalg, sys.modules.get("numpy.linalg._linalg")} - {None}:
+            monkeypatch.setattr(module, "svd", refuse)
+        assert sa.StarAlgebra(8, matrix_units(8)).dim == 64
 
 
 class TestGroupAlgebra:

@@ -423,3 +423,66 @@ class TestOracle:
                 "",
                 same=True,
             )
+
+
+CLOSED_FORM_GROUPS = {
+    "S3": sa.symmetric(3),
+    "D4": sa.dihedral(4),
+    "D5": sa.dihedral(5),
+    "A4": sa.closure(4, [sa.parse_cycles("(1 2 3)", 4), sa.parse_cycles("(1 2)(3 4)", 4)]),
+    "D6": sa.dihedral(6),
+    "S4": sa.symmetric(4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def subgroup_lattice(name: str) -> list:
+    g = CLOSED_FORM_GROUPS[name]
+    return sa.intermediate_subgroups(g, sa.trivial(g.degree))
+
+
+@functools.lru_cache(maxsize=None)
+def closed_form_tower(name: str, h: int):
+    """C[H] inside C[G] with its expectation and one context shared by the examples."""
+    rep = sa.group_algebra(CLOSED_FORM_GROUPS[name])
+    small = rep.subalgebra(subgroup_lattice(name)[h])
+    exp = sa.trace_preserving(sa.Inclusion(big=rep.algebra, small=small))
+    return rep, exp, sa.AngleContext(exp)
+
+
+@functools.lru_cache(maxsize=None)
+def closed_form_intermediate(name: str, h: int, m: int):
+    rep, exp, _ = closed_form_tower(name, h)
+    return sa.make_compatible(exp, rep.subalgebra(subgroup_lattice(name)[m]))
+
+
+@st.composite
+def group_quadruples(draw):
+    """(G, H, K, L) by name and lattice index, with H < G and K, L strictly above H."""
+    name = draw(st.sampled_from(sorted(CLOSED_FORM_GROUPS)))
+    lattice = subgroup_lattice(name)
+    h = draw(st.integers(0, len(lattice) - 2))  # the last entry is G
+    above = [
+        m for m, grp in enumerate(lattice)
+        if len(grp) > len(lattice[h]) and lattice[h].is_subgroup_of(grp)
+    ]
+    return name, h, draw(st.sampled_from(above)), draw(st.sampled_from(above))
+
+
+class TestGroupClosedForm:
+    @given(group_quadruples())
+    def test_quasibasis_route_matches_closed_form(self, quadruple):
+        name, h, k, ell = quadruple
+        lattice = subgroup_lattice(name)
+        _, exp, ctx = closed_form_tower(name, h)
+        rep = sa.interior_angle(
+            exp,
+            closed_form_intermediate(name, h, k),
+            closed_form_intermediate(name, h, ell),
+            path="quasibasis",
+            ctx=ctx,
+        )
+        oracle = sa.group_oracle_cosine(
+            CLOSED_FORM_GROUPS[name], lattice[h], lattice[k], lattice[ell]
+        )
+        assert abs(rep.cos_value - oracle) < DEFAULT_TOLERANCES.angle_tol

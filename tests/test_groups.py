@@ -10,28 +10,36 @@ from starangles.errors import (
     ParseError,
     SizeError,
 )
+from starangles.groups import identity_perm
+
+
+def brute_force_closure(degree, generators):
+    """Independent oracle: product-saturate an explicit set of image tuples."""
+    elements = {tuple(range(degree))}
+    todo = list(elements)
+    gens = [g.images for g in generators]
+    while todo:
+        a = todo.pop()
+        for b in gens:
+            c = tuple(a[i] for i in b)  # a * b
+            if c not in elements:
+                elements.add(c)
+                todo.append(c)
+    return frozenset(elements)
 
 
 def brute_force_closure_order(degree, generators):
-    """Independent oracle: product-saturate an explicit element set."""
-    elements = {tuple(range(degree))}
-    gens = [g.images for g in generators]
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elements):
-            for b in gens:
-                c = tuple(a[b[i]] for i in range(degree))
-                if c not in elements:
-                    elements.add(c)
-                    changed = True
-    return len(elements)
+    return len(brute_force_closure(degree, generators))
 
 
 def sympy_order(degree, generators):
     if not generators:
         return 1
     return PermutationGroup([Permutation(list(g.images)) for g in generators]).order()
+
+
+def _cycles(*texts, degree):
+    return [sa.parse_cycles(t, degree) for t in texts]
 
 
 class TestPerm:
@@ -98,6 +106,24 @@ class TestClosure:
             sa.closure(3, [sa.parse_cycles("(1 4)", 4)])
 
 
+class TestPermGroup:
+    def test_non_closed_elements_rejected(self):
+        elements = [identity_perm(3), *_cycles("(1 2)", "(1 3)", degree=3)]
+        with pytest.raises(ArgumentError, match="not closed under products"):
+            sa.PermGroup(3, elements)
+
+    def test_missing_inverse_rejected(self):
+        elements = [identity_perm(3), *_cycles("(1 2 3)", degree=3)]
+        with pytest.raises(ArgumentError, match="missing inverse"):
+            sa.PermGroup(3, elements)
+
+    def test_cayley_table_indexes_products(self):
+        g = sa.dihedral(4)
+        for i, a in enumerate(g.elements):
+            for j, b in enumerate(g.elements):
+                assert g.elements[g.mul[i][j]] == a * b
+
+
 class TestIndexAndIntersect:
     def test_self_index(self):
         g = sa.symmetric(3)
@@ -158,7 +184,87 @@ def brute_force_subgroup_count(group):
     return count
 
 
+def oracle_closure(degree, seed):
+    """Oracle: close ``seed`` under products with ``Perm`` objects."""
+    elements = {identity_perm(degree)}
+    frontier = [identity_perm(degree)]
+    generators = list(seed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = x * g
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(elements)
+
+
+def oracle_intermediate_subgroups(big, small):
+    """Oracle: extend each known intermediate by every element of G, closing over
+    all of its elements."""
+    found = {small.elements: small}
+    frontier = [small]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in big.elements:
+                if g in m:
+                    continue
+                closed = oracle_closure(big.degree, m.elements + (g,))
+                key = tuple(sorted(closed))
+                if key not in found:
+                    grp = sa.PermGroup(big.degree, closed)
+                    found[key] = grp
+                    nxt.append(grp)
+        frontier = nxt
+    return sorted(found.values(), key=lambda grp: (len(grp), grp.elements))
+
+
+ORACLE_INCLUSIONS = {
+    "S3": (sa.symmetric(3), sa.trivial(3)),
+    "D4": (sa.dihedral(4), sa.trivial(4)),
+    "D4/<(1 3)(2 4)>": (sa.dihedral(4), sa.closure(4, _cycles("(1 3)(2 4)", degree=4))),
+    "D5": (sa.dihedral(5), sa.trivial(5)),
+    "A4": (sa.closure(4, _cycles("(1 2 3)", "(1 2)(3 4)", degree=4)), sa.trivial(4)),
+    "D6": (sa.dihedral(6), sa.trivial(6)),
+    "S4": (sa.symmetric(4), sa.trivial(4)),
+    "S4/V4": (sa.symmetric(4), sa.klein_four()),
+    "S4/<(1 2)>": (sa.symmetric(4), sa.closure(4, _cycles("(1 2)", degree=4))),
+}
+
+S4_X_C2 = sa.closure(6, _cycles("(1 2)", "(1 2 3 4)", "(5 6)", degree=6))
+
+
 class TestIntermediateSubgroups:
+    @pytest.mark.parametrize("name", list(ORACLE_INCLUSIONS))
+    def test_matches_oracle_in_order(self, name):
+        big, small = ORACLE_INCLUSIONS[name]
+        assert sa.intermediate_subgroups(big, small) == oracle_intermediate_subgroups(big, small)
+
+    def test_order_48_lattice(self):
+        h = sa.trivial(6)
+        subs = sa.intermediate_subgroups(S4_X_C2, h)
+        assert len(S4_X_C2) == 48
+        assert len(subs) == 98
+        assert len(set(subs)) == 98
+        for m in subs:
+            assert all(a * b in m for a in m.elements for b in m.elements)
+            assert h.is_subgroup_of(m) and m.is_subgroup_of(S4_X_C2)
+        # one-step completeness: every extension of a found subgroup is found
+        found = {frozenset(g.images for g in m.elements) for m in subs}
+        for m in subs:
+            gens, span = [], brute_force_closure(6, [])
+            for g in m.elements:
+                if g.images not in span:
+                    gens.append(g)
+                    span = brute_force_closure(6, gens)
+            assert span == frozenset(g.images for g in m.elements)
+            for g in S4_X_C2.elements:
+                if g not in m:  # else the closure is m
+                    assert brute_force_closure(6, gens + [g]) in found
+
     def test_trivial_interval(self):
         g = sa.dihedral(4)
         assert sa.intermediate_subgroups(g, g) == [g]
