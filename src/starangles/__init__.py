@@ -26,15 +26,12 @@ from .algebra import (
     relative_commutant,
     same_span,
     tensor_by_factor,
-    trivial_action,
 )
 from .basic import (
     BasicConstruction,
-    DualExpectation,
     build,
     dual_expectation,
     intermediate_jones_projection,
-    theta,
 )
 from .errors import (
     ArgumentError,

@@ -455,11 +455,6 @@ def action_from_generators(
     return GroupAction(group, table)
 
 
-def trivial_action(group: PermGroup, ambient_dim: int) -> GroupAction:
-    eye = np.eye(ambient_dim, dtype=complex)
-    return GroupAction(group, {g: eye for g in group.elements})
-
-
 @dataclass(frozen=True)
 class CrossedProduct:
     """Crossed product in the regular covariant representation."""

@@ -15,8 +15,10 @@ and ``{delta_k}`` of the restriction to Q,
 where the numerator's sum equals ``sum_k F_P(delta_k) delta_k*``, since
 ``sum_j mu_j E(mu_j* y) = F_P(y)`` by compatibility and bimodularity.
 
-Norms of algebra elements are operator norms. For group-algebra
-inclusions both routes reproduce the closed form
+Norms of algebra elements are operator norms. The dual ``E1`` takes
+values in lambda(A), and ``|lambda(a)| = |a|``: lambda is a faithful
+*-representation, hence isometric. For group-algebra inclusions both
+routes reproduce the closed form
 ``([K n L : H] - 1) / (sqrt([K:H] - 1) sqrt([L:H] - 1))``.
 """
 
@@ -67,14 +69,14 @@ class AngleContext:
     the Jones projection, and the two routes' denominators,
     ``|E1(z_P)|^(1/2)`` (definition) and ``|ind^{-1}(ind_P - 1)|^(1/2)``
     (quasi-basis). A pair then costs one numerator per route: on the
-    definition route, one dual-expectation solve on ``z_P z_Q``.
+    definition route, one application of E1 to ``z_P z_Q``.
     """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
         self.expectation = exp
         self.tol = tol
         self._bc: basic.BasicConstruction | None = None
-        self._dual: basic.DualExpectation | None = None
+        self._dual: CondExpectation | None = None
         self._module: ModuleBasis | None = None
         self._index: WatataniIndex | None = None
         self._index_inverse: np.ndarray | None = None
@@ -108,7 +110,7 @@ class AngleContext:
         return self._bc
 
     @property
-    def dual(self) -> basic.DualExpectation:
+    def dual(self) -> CondExpectation:
         if self._dual is None:
             self._dual = basic.dual_expectation(self.bc, self.tol)
         return self._dual
@@ -135,10 +137,17 @@ class AngleContext:
         return cache["jones"]
 
     def definition_denominator(self, ci: CompatibleIntermediate) -> float:
-        """``|E1(z_P)|^(1/2)`` with ``z_P = e_P - e``."""
+        """``|E1(z_P)|^(1/2)`` with ``z_P = e_P - e``.
+
+        Also checks that ``z_P`` lies in M1, so every product ``z_P z_Q`` the
+        definition route applies E1 to does too: M1 is closed under products.
+        """
         cache = self._cache(ci)
         if "den_definition" not in cache:
             z = self.jones_projection(ci) - self.bc.e_proj
+            member, outside = self.bc.m1.contains(z, self.tol)
+            if not member:
+                raise InvariantError(f"e_P - e is not in M1 (residual {outside:.3e})")
             cache["den_definition"] = math.sqrt(op_norm(self.dual.apply(z)))
         return cache["den_definition"]
 
@@ -155,7 +164,7 @@ class AngleContext:
     def upper(self) -> "AngleContext":
         """Context one floor up: the dual expectation onto lambda(A) in M1."""
         if self._upper is None:
-            self._upper = AngleContext(self.dual.expectation, self.tol)
+            self._upper = AngleContext(self.dual, self.tol)
         return self._upper
 
     def first_floor(self, ci: CompatibleIntermediate) -> CompatibleIntermediate:
@@ -166,7 +175,7 @@ class AngleContext:
             algebra_one = from_generators(
                 bc.rep_dim, list(bc.lambda_stack) + [self.jones_projection(ci)], self.tol
             )
-            cache["floor_one"] = make_compatible(self.dual.expectation, algebra_one, self.tol)
+            cache["floor_one"] = make_compatible(self.dual, algebra_one, self.tol)
         return cache["floor_one"]
 
 
@@ -186,10 +195,11 @@ def _quasibasis_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: Compatib
 
 
 def _definition_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
+    # the denominators check that z_P and z_Q, hence z_P z_Q, lie in M1
+    denominators = (ctx.definition_denominator(p), ctx.definition_denominator(q))
     e = ctx.bc.e_proj
     z_pq = (ctx.jones_projection(p) - e) @ (ctx.jones_projection(q) - e)
-    numerator = op_norm(ctx.dual.apply(z_pq))
-    return numerator, (ctx.definition_denominator(p), ctx.definition_denominator(q))
+    return op_norm(ctx.dual.apply(z_pq)), denominators
 
 
 def _finish_report(
@@ -317,7 +327,6 @@ def exterior_angle(
         ctx = AngleContext(exp, tol)
     _check_nondegenerate(exp, p, tol)
     _check_nondegenerate(exp, q, tol)
-    dual_exp = ctx.dual.expectation
     floor_one = {}
     for name, ci in (("P", p), ("Q", q)):
         try:
@@ -329,7 +338,7 @@ def exterior_angle(
             ) from err
     upper_path = "both" if second_floor else "quasibasis"
     report = interior_angle(
-        dual_exp, floor_one["P"], floor_one["Q"], path=upper_path, tol=tol, ctx=ctx.upper
+        ctx.dual, floor_one["P"], floor_one["Q"], path=upper_path, tol=tol, ctx=ctx.upper
     )
     provenance = f"one floor up over M1 (dim {ctx.bc.dim_m1}); {report.provenance}"
     return replace(report, provenance=provenance)

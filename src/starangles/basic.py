@@ -19,8 +19,9 @@ construction ``M1 = <lambda(A), e>`` is realized as the linear span of
 (Watatani, 1990). One small thin SVD per pair gives M1's orthonormal basis
 and the dual expectation's value table on it: the minimum-norm extension
 of ``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not
-kept; evaluating the dual takes M1 coordinates, checks the residual and
-contracts with the table.
+kept; the dual is the ``CondExpectation`` with lambda of that table as its
+values, so one application of ``E1`` goes through lambda(A)'s coordinates
+like every other expectation of the tower.
 """
 
 from __future__ import annotations
@@ -76,12 +77,8 @@ class BasicConstruction:
         """``G^{1/2} x G^{-1/2}``: the operator of the map on A with coordinate matrix ``x``."""
         return self._gram_sqrt @ x @ self._gram_inv_sqrt
 
-    def lambda_of(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by ``m`` on the coordinates."""
-        return self.lambda_many(np.asarray(m, dtype=complex)[None])[0]
-
     def lambda_many(self, stack: np.ndarray) -> np.ndarray:
-        """``lambda_of`` of each matrix in a stack: ``coords_A(stack) . lambda_stack``.
+        """Left multiplication by each matrix in a stack: ``coords_A(stack) . lambda_stack``.
 
         lambda is linear, and an argument ``y`` outside A acts as its
         A-projection, since ``<a_r, y a_s> = <a_r a_s*, y>``.
@@ -235,64 +232,20 @@ def _minimum_norm_table(
     return basis, table
 
 
-class DualExpectation:
-    """Expectation from M1 onto lambda(A), evaluated on M1's coordinates.
-
-    Values are prescribed on a spanning family of M1 and extended by a
-    minimum-norm solve, done once in ``build`` as the table of values on
-    M1's orthonormal basis (an inconsistent prescription raises there).
-    A call takes the argument's M1 coordinates ``c``, checks the residual
-    of ``c`` against the argument, so an element outside M1 raises, and
-    returns ``c`` contracted with the table: ``rank x d^2`` per argument.
-    """
-
-    def __init__(self, bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.bc = bc
-        self._tol = tol
-        lam_values = bc.lambda_many(bc.dual_table)
-        self.expectation = CondExpectation(
-            inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
-            values=lam_values,
-        )
-        _verify_expectation_axioms(self.expectation, tol)
-
-    def apply(self, t: np.ndarray) -> np.ndarray:
-        """Value on an element of M1, returned inside the original big algebra."""
-        return self.apply_many(np.asarray(t, dtype=complex)[None])[0]
-
-    def apply_many(self, stack: np.ndarray) -> np.ndarray:
-        m1 = self.bc.m1
-        vecs = np.asarray(stack, dtype=complex).reshape(stack.shape[0], -1)
-        coeffs = m1.coords_many(vecs)
-        resid = np.linalg.norm(coeffs @ m1._flat - vecs, axis=1) / np.sqrt(m1.ambient_dim)
-        worst = float(resid.max()) if resid.size else 0.0
-        if worst > self._tol.eq_tol:
-            raise ArgumentError(
-                f"element is not in the basic construction's span (residual {worst:.3e})"
-            )
-        return np.tensordot(coeffs, self.bc.dual_table, axes=(1, 0))
-
-
 def dual_expectation(
     bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DualExpectation:
-    """Dual expectation of the construction, with its axioms verified."""
-    return DualExpectation(bc, tol)
+) -> CondExpectation:
+    """The dual expectation ``E1: M1 -> lambda(A)``, with its axioms verified.
 
-
-def theta(
-    bc: BasicConstruction,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Rank-one module operator ``lambda(x) e lambda(y)*``."""
-    a = bc.source.big
-    for name, m in (("x", x), ("y", y)):
-        member, resid = a.contains(m, tol)
-        if not member:
-            raise ArgumentError(f"{name} is not in the big algebra (residual {resid:.3e})")
-    return bc.lambda_of(x) @ bc.e_proj @ adjoint(bc.lambda_of(y))
+    Its value table is lambda of ``dual_table``, the minimum-norm extension
+    of ``lambda(x) e lambda(y) -> index^{-1} x y`` on M1's basis.
+    """
+    dual = CondExpectation(
+        inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
+        values=bc.lambda_many(bc.dual_table),
+    )
+    _verify_expectation_axioms(dual, tol)
+    return dual
 
 
 def intermediate_jones_projection(

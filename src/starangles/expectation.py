@@ -337,7 +337,7 @@ def ind_p_estimate(
     steps: int = 300,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Lower-bound estimate of the probabilistic index by stochastic ascent.
+    """Estimate of the probabilistic index by stochastic ascent.
 
     For positive ``x`` the best constant ``gamma`` with
     ``gamma E(x) >= x`` is the top eigenvalue of
@@ -345,9 +345,11 @@ def ind_p_estimate(
     probabilistic index is the supremum of that quantity over the positive
     cone. Each trial starts from a random positive element and hill-climbs
     with multiplicative perturbations ``x -> w x w*``; the running best
-    over trials is returned. The result is a lower bound up to ascent
-    quality; it is exact only if the ascent finds the optimizer. The
-    algorithm is this artifact's own device, not a published procedure.
+    over trials is returned. The result is not a bound in either
+    direction: the ascent may miss the optimizer, and it can overshoot
+    (12.67 on ``C`` in ``C[D4]`` at ``seed=2``, where the exact value is
+    8). The algorithm is this library's own device, not a published
+    procedure.
     """
     if trials < 1:
         raise ArgumentError("at least one trial is required")

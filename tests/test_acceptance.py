@@ -94,18 +94,15 @@ def test_criterion_04_basic_construction_identities(all_suites):
         bc = suite.ctx.bc
         e = bc.e_proj
         worst = max(worst, op_norm(e @ e - e), op_norm(adjoint(e) - e))
+        lam_values = bc.lambda_many(suite.expectation.values)
         for s in range(suite.algebra.dim):
             lam = bc.lambda_stack[s]
-            rhs = bc.lambda_of(suite.expectation.values[s]) @ e
-            worst = max(worst, op_norm(e @ lam @ e - rhs))
+            worst = max(worst, op_norm(e @ lam @ e - lam_values[s] @ e))
         commutant = sa.algebra.commutant_within(bc.lambda_algebra, [e])
         dims_ok &= commutant.dim == suite.small.dim
-        lam_b = np.stack([bc.lambda_of(x) for x in suite.small.basis])
+        lam_b = bc.lambda_many(suite.small.basis)
         worst = max(worst, commutant._max_span_residual(lam_b))
-        cover = sum(
-            bc.lambda_of(m) @ e @ adjoint(bc.lambda_of(m))
-            for m in bc.module_basis.elements
-        )
+        cover = sum(lam @ e @ adjoint(lam) for lam in bc.lambda_many(bc.module_basis.elements))
         worst = max(worst, op_norm(cover - np.eye(bc.rep_dim)))
         expected_dim = (
             sa.index(suite.group, suite.small_group) ** 2 * len(suite.small_group)
@@ -133,16 +130,13 @@ def test_criterion_05_dual_expectation(all_suites):
             ]
         )
         values = dual.apply_many(spanning)
-        expected = np.stack(
-            [
-                inv @ a.basis[p] @ a.basis[q]
-                for p in range(a.dim)
-                for q in range(a.dim)
-            ]
+        # E1 takes values in lambda(A)
+        expected = bc.lambda_many(
+            np.stack([inv @ a.basis[p] @ a.basis[q] for p in range(a.dim) for q in range(a.dim)])
         )
         worst = max(worst, float(sa.linalg.op_norms(values - expected).max()))
-        worst = max(worst, op_norm(dual.apply(bc.e_proj) - inv))
-        report = sa.verify(dual.expectation, samples=16, seed=31)
+        worst = max(worst, op_norm(dual.apply(bc.e_proj) - bc.lambda_many(inv[None])[0]))
+        report = sa.verify(dual, samples=16, seed=31)
         assert report.passed, suite.name
     _report("5 dual expectation", worst < 1e-9, f"max residual = {worst:.3e}")
 

@@ -152,7 +152,8 @@ class TestCrossedProduct:
     def test_trivial_action_reduces_to_group_algebra(self):
         scalars = scalar_algebra(1)
         group = sa.cyclic(2)
-        cp = sa.crossed_product(scalars, sa.trivial_action(group, 1))
+        trivial = sa.GroupAction(group, {g: np.eye(1, dtype=complex) for g in group.elements})
+        cp = sa.crossed_product(scalars, trivial)
         assert cp.algebra.dim == 2
         rep = sa.group_algebra(group)
         # canonical correspondence pi(1) u_g <-> lambda_g has equal products
@@ -193,7 +194,9 @@ class TestCrossedProduct:
 class TestFixedPoint:
     def test_trivial_action_fixes_everything(self):
         m2 = full_matrix_algebra(2)
-        fixed, expectation = sa.fixed_point(m2, sa.trivial_action(sa.cyclic(2), 2))
+        group = sa.cyclic(2)
+        trivial = sa.GroupAction(group, {g: np.eye(2, dtype=complex) for g in group.elements})
+        fixed, expectation = sa.fixed_point(m2, trivial)
         assert fixed.dim == m2.dim
         for s in range(m2.dim):
             assert op_norm(expectation.values[s] - m2.basis[s]) < 1e-12

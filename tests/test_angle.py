@@ -268,6 +268,20 @@ class TestAngleCaches:
             assert sa.interior_angle(exp, cis[i], cis[j], path=path, ctx=warm) == fresh
 
 
+class TestMembershipGuard:
+    def test_z_outside_m1_rejected(self, suite_s3):
+        # lambda(A) does not contain e, so z_P = e_P - e lies outside it
+        exp, p, q = suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[-1]
+        assert sa.interior_angle(exp, p, q, path="definition", ctx=suite_s3.ctx)
+        ctx = sa.AngleContext(exp)
+        ctx.dual  # built on the true M1
+        ctx.bc.m1 = ctx.bc.lambda_algebra
+        with pytest.raises(InvariantError, match="not in M1"):
+            sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
+        # the quasi-basis route does not read M1
+        sa.interior_angle(exp, p, q, path="quasibasis", ctx=ctx)
+
+
 class TestAngleMatrix:
     def test_singleton(self, suite_d4):
         matrix = sa.angle_matrix(

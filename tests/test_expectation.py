@@ -308,8 +308,8 @@ def tower_expectations(suite_d4):
     named = {
         "E": suite_d4.expectation,
         "E on C[D4] (x) M_2 over M_2": sa.trace_preserving(sa.Inclusion(big=big, small=small)),
-        "E1": suite_d4.ctx.dual.expectation,
-        "E2": suite_d4.ctx.upper.dual.expectation,
+        "E1": suite_d4.ctx.dual,
+        "E2": suite_d4.ctx.upper.dual,
     }
     for i, ci in enumerate(suite_d4.compat):
         named[f"F_P{i}"], named[f"E|_P{i}"] = ci.F, ci.E_restricted
