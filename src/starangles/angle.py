@@ -39,7 +39,7 @@ from .errors import (
     InvariantError,
 )
 from .expectation import CompatibleIntermediate, CondExpectation, make_compatible
-from .linalg import DEFAULT_TOLERANCES, Tolerances, op_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, op_norms
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
 
@@ -66,10 +66,12 @@ class AngleContext:
     Per context: the basic construction, the dual expectation, the module
     basis, the index and its inverse. Per intermediate, each computed on
     first use: the restricted module basis and index (quasi-basis route),
-    the Jones projection, and the two routes' denominators,
-    ``|E1(z_P)|^(1/2)`` (definition) and ``|ind^{-1}(ind_P - 1)|^(1/2)``
-    (quasi-basis). A pair then costs one numerator per route: on the
-    definition route, one application of E1 to ``z_P z_Q``.
+    the Jones projection, ``z_P = e_P - e``, and the two routes'
+    denominators, ``|E1(z_P)|^(1/2)`` (definition) and
+    ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A pair then costs one
+    numerator matrix per route (on the quasi-basis route one contraction
+    over Q's quasi-basis, on the definition route one application of E1 to
+    ``z_P z_Q``), and its norms take one ``op_norms`` call per matrix size.
     """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -136,18 +138,26 @@ class AngleContext:
             cache["jones"] = basic.intermediate_jones_projection(self.bc, ci, self.tol)
         return cache["jones"]
 
-    def definition_denominator(self, ci: CompatibleIntermediate) -> float:
-        """``|E1(z_P)|^(1/2)`` with ``z_P = e_P - e``.
+    def jones_difference(self, ci: CompatibleIntermediate) -> np.ndarray:
+        """``z_P = e_P - e``, checked once to lie in M1.
 
-        Also checks that ``z_P`` lies in M1, so every product ``z_P z_Q`` the
-        definition route applies E1 to does too: M1 is closed under products.
+        Every product ``z_P z_Q`` the definition route applies E1 to then lies
+        in M1 too, as M1 is closed under products.
         """
         cache = self._cache(ci)
-        if "den_definition" not in cache:
+        if "z" not in cache:
             z = self.jones_projection(ci) - self.bc.e_proj
             member, outside = self.bc.m1.contains(z, self.tol)
             if not member:
                 raise InvariantError(f"e_P - e is not in M1 (residual {outside:.3e})")
+            cache["z"] = z
+        return cache["z"]
+
+    def definition_denominator(self, ci: CompatibleIntermediate) -> float:
+        """``|E1(z_P)|^(1/2)``."""
+        cache = self._cache(ci)
+        if "den_definition" not in cache:
+            z = self.jones_difference(ci)
             cache["den_definition"] = math.sqrt(op_norm(self.dual.apply(z)))
         return cache["den_definition"]
 
@@ -186,20 +196,35 @@ def _check_nondegenerate(exp: CondExpectation, ci: CompatibleIntermediate, tol: 
         )
 
 
-def _quasibasis_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
+def _quasibasis_terms(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
+    """The numerator's matrix ``ind^{-1}(sum_k F_P(delta_k) delta_k* - 1)`` and the
+    route's denominators."""
     unit = ctx.expectation.big.unit
     delta = ctx.restricted_basis(q).elements
-    mixed = np.einsum("kij,klj->il", p.F.apply_many(delta), np.conj(delta))
-    numerator = op_norm(ctx.index_inverse @ (mixed - unit))
+    mixed = np.tensordot(p.F.apply_many(delta), np.conj(delta), axes=([0, 2], [0, 2]))
+    numerator = ctx.index_inverse @ (mixed - unit)
     return numerator, (ctx.quasibasis_denominator(p), ctx.quasibasis_denominator(q))
 
 
-def _definition_cosine(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    # the denominators check that z_P and z_Q, hence z_P z_Q, lie in M1
+def _definition_terms(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
+    """The numerator's matrix ``E1(z_P z_Q)`` and the route's denominators."""
     denominators = (ctx.definition_denominator(p), ctx.definition_denominator(q))
-    e = ctx.bc.e_proj
-    z_pq = (ctx.jones_projection(p) - e) @ (ctx.jones_projection(q) - e)
-    return op_norm(ctx.dual.apply(z_pq)), denominators
+    z_pq = ctx.jones_difference(p) @ ctx.jones_difference(q)
+    return ctx.dual.apply(z_pq), denominators
+
+
+def _commuting_residual(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
+    """``e_P e_Q - e``, whose norm decides the commuting square."""
+    return ctx.jones_projection(p) @ ctx.jones_projection(q) - ctx.bc.e_proj
+
+
+def _op_norms_by_size(mats: list[np.ndarray]) -> list[float]:
+    """Operator norms of ``mats``, one ``op_norms`` call per matrix size."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for m in mats:
+        by_size.setdefault(m.shape[0], []).append(m)
+    norms = {size: iter(op_norms(np.asarray(same)).tolist()) for size, same in by_size.items()}
+    return [next(norms[m.shape[0]]) for m in mats]
 
 
 def _finish_report(
@@ -274,13 +299,19 @@ def interior_angle(
     _check_nondegenerate(exp, p, tol)
     _check_nondegenerate(exp, q, tol)
 
-    fragments: dict[str, tuple[float, tuple[float, float]]] = {}
+    mats: list[np.ndarray] = []
+    denominators: dict[str, tuple[float, float]] = {}
     if path in ("quasibasis", "both"):
-        fragments["quasibasis"] = _quasibasis_cosine(ctx, p, q)
-    commuting = None
+        mat, denominators["quasibasis"] = _quasibasis_terms(ctx, p, q)
+        mats.append(mat)
     if path in ("definition", "both"):
-        fragments["definition"] = _definition_cosine(ctx, p, q)
-        commuting = is_commuting_square(exp, p, q, tol, ctx)
+        mat, denominators["definition"] = _definition_terms(ctx, p, q)
+        mats += [mat, _commuting_residual(ctx, p, q)]
+    norms = _op_norms_by_size(mats)
+    fragments = {name: (num, denominators[name]) for name, num in zip(denominators, norms)}
+    commuting = None
+    if "definition" in fragments:
+        commuting = (norms[-1] < tol.eq_tol, norms[-1])
     primary = "definition" if "definition" in fragments else "quasibasis"
     sizes = f"|A over B|={len(ctx.module_basis)}"
     if "quasibasis" in fragments:
@@ -302,9 +333,7 @@ def is_commuting_square(
     """Whether ``e_P e_Q = e_N`` holds, plus the residual."""
     if ctx is None:
         ctx = AngleContext(exp, tol)
-    residual = op_norm(
-        ctx.jones_projection(p) @ ctx.jones_projection(q) - ctx.bc.e_proj
-    )
+    residual = op_norm(_commuting_residual(ctx, p, q))
     return residual < tol.eq_tol, residual
 
 

@@ -227,7 +227,9 @@ def _minimum_norm_table(
         inconsistency = max_op_norm(drift.reshape(-1, *values.shape[2:]), tol.eq_tol)
         if inconsistency > tol.eq_tol:
             raise ConstructionError("dual prescription consistency", inconsistency)
-    basis = (vh[keep] * np.sqrt(d)).reshape(-1, d, d)
+    basis = vh[keep]  # a copy, scaled in place: M1's basis is the largest array here
+    basis *= np.sqrt(d)
+    basis = basis.reshape(-1, d, d)
     table = (coeffs[keep] * (np.sqrt(d) / s[keep])[:, None]).reshape(-1, *values.shape[2:])
     return basis, table
 

@@ -123,12 +123,15 @@ def watatani_index(basis: ModuleBasis, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     """Index ``sum_j m_j m_j*`` with centrality and positivity verified."""
     exp = basis.expectation
     a = exp.big
-    value = np.einsum("jik,jlk->il", basis.elements, np.conj(basis.elements))
+    value = np.tensordot(basis.elements, np.conj(basis.elements), axes=([0, 2], [0, 2]))
     herm = op_norm(value - adjoint(value))
     if herm > tol.eq_tol:
         raise InvariantError(f"index is not self-adjoint (residual {herm:.3e})")
     value = (value + adjoint(value)) / 2.0
-    centrality = max(op_norm(value @ b - b @ value) for b in a.basis)
+    centrality = max(
+        float(op_norms(value @ a.basis[part] - a.basis[part] @ value).max())
+        for part in linalg.batches(a.dim, a.ambient_dim**2)
+    )
     if centrality > tol.eq_tol:
         raise InvariantError(
             f"index is not central (residual {centrality:.3e}); defective module basis"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +267,54 @@ class TestAngleCaches:
         for path in ("both", "quasibasis", "definition"):
             fresh = sa.interior_angle(exp, cis[i], cis[j], path=path, ctx=sa.AngleContext(exp))
             assert sa.interior_angle(exp, cis[i], cis[j], path=path, ctx=warm) == fresh
+
+
+class TestPairKernel:
+    """A warm pair takes its three norms (both numerators and the commuting
+    residual) from one LAPACK call per matrix size: ``n x n`` in M1 and
+    ``d x d`` in A."""
+
+    @staticmethod
+    def lapack_calls(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        # np.linalg.norm(x, 2) calls the svd of numpy's internal linalg module
+        modules = {np.linalg, sys.modules.get("numpy.linalg._linalg")} - {None}
+        for name in ("svd", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def warm_pair_calls(self, monkeypatch, exp, p, q, ctx) -> list[str]:
+        cold = sa.interior_angle(exp, p, q, path="both", ctx=ctx)
+        calls = self.lapack_calls(monkeypatch)
+        assert sa.interior_angle(exp, p, q, path="both", ctx=ctx) == cold
+        return calls
+
+    def test_one_call_when_sizes_agree(self, suite_s4_v, monkeypatch):
+        # C[G] acts on l^2(G), so M1 acts on a space of dim A = |G|
+        exp, ctx = suite_s4_v.expectation, suite_s4_v.ctx
+        assert ctx.bc.rep_dim == exp.big.ambient_dim
+        p, q = suite_s4_v.compat[0], suite_s4_v.compat[-1]
+        assert len(self.warm_pair_calls(monkeypatch, exp, p, q, ctx)) == 1
+
+    def test_two_calls_when_sizes_differ(self, suite_d4, monkeypatch):
+        big = sa.tensor_by_factor(suite_d4.algebra, 2)
+        exp = sa.trace_preserving(
+            sa.Inclusion(big=big, small=sa.tensor_by_factor(suite_d4.small, 2))
+        )
+        p, q = (
+            sa.make_compatible(exp, sa.tensor_by_factor(ci.P, 2))
+            for ci in (suite_d4.compat[0], suite_d4.compat[-1])
+        )
+        ctx = sa.AngleContext(exp)
+        assert ctx.bc.rep_dim != exp.big.ambient_dim
+        assert len(self.warm_pair_calls(monkeypatch, exp, p, q, ctx)) == 2
 
 
 class TestMembershipGuard:

@@ -50,6 +50,31 @@ class TestOpNorm:
                 linalg.op_norm(a), abs=1e-9
             )
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e150])
+    def test_matches_svd(self, rng, scale):
+        # the Gram kernel against LAPACK's SVD, also where x* x would under- or overflow
+        rank_one = rng.standard_normal((2, 6, 1)) @ rng.standard_normal((2, 1, 6))
+        stacks = [
+            np.stack([linalg.random_matrix(rng, 6) for _ in range(5)]),
+            rank_one.astype(complex),
+            rng.standard_normal((3, 4, 7)) + 1j * rng.standard_normal((3, 4, 7)),
+            rng.standard_normal((3, 7, 4)) + 1j * rng.standard_normal((3, 7, 4)),
+        ]
+        for stack in stacks:
+            stack = stack * scale
+            exact = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            assert np.all(np.abs(linalg.op_norms(stack) - exact) <= 1e-14 * exact)
+            for matrix, value in zip(stack, exact):
+                assert abs(linalg.op_norm(matrix) - value) <= 1e-14 * value
+
+    def test_zero_matrix_is_exactly_zero(self):
+        assert linalg.op_norm(np.zeros((4, 4))) == 0.0
+        stack = np.zeros((3, 5, 5), dtype=complex)
+        stack[1, 2, 3] = 1e-300
+        norms = linalg.op_norms(stack)
+        assert norms[0] == norms[2] == 0.0
+        assert norms[1] == pytest.approx(1e-300, rel=1e-14)
+
     def test_op_norms_batch_matches_scalar(self, rng):
         stack = np.stack([linalg.random_matrix(rng, 3) for _ in range(5)])
         batched = linalg.op_norms(stack)

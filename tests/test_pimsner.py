@@ -131,6 +131,16 @@ class TestWatataniIndex:
         # oracle: 1 + m m* for the single normalized residual direction
         assert op_norm(wi.value - np.diag([1.5, 1.5, 3.0])) < 1e-9
 
+    def test_matches_loop_reference(self, all_suites):
+        # the index as a sum over the basis, and its centrality one commutator at a time
+        for suite in all_suites:
+            basis = sa.orthonormal_basis(suite.expectation)
+            wi = sa.watatani_index(basis)
+            value = sum(m @ adjoint(m) for m in basis.elements)
+            assert op_norm(wi.value - (value + adjoint(value)) / 2) < 1e-13
+            loop = max(op_norm(wi.value @ b - b @ wi.value) for b in suite.algebra.basis)
+            assert wi.centrality_residual == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
     def test_defective_basis_rejected(self, trace_inclusions):
         exp = trace_inclusions[2]
         e11 = np.diag([1.0, 0.0]).astype(complex)
