@@ -9,7 +9,6 @@ from .angle import (
     exterior_angle,
     group_oracle_cosine,
     interior_angle,
-    is_commuting_square,
 )
 from .algebra import (
     CrossedProduct,
@@ -80,7 +79,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
-    hs_norm,
     kron,
     op_norm,
     orthonormal_span,

@@ -32,9 +32,6 @@ from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_square_matrix
 if TYPE_CHECKING:  # pragma: no cover
     from .expectation import CondExpectation
 
-# above this many basis pairs, closure verification samples pairs instead
-_FULL_CLOSURE_CHECK_PAIRS = 20_000
-
 
 class StarAlgebra:
     """Unital *-closed subalgebra of an ambient matrix algebra.
@@ -92,16 +89,12 @@ class StarAlgebra:
             self.ambient_dim, self.ambient_dim
         )
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt orthogonal projection onto the span."""
-        return self.reconstruct(self.coords(x))
-
     def contains(self, x, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
         """Membership test; returns ``(member, projection residual)``."""
         a = as_square_matrix(x)
         if a.shape[0] != self.ambient_dim:
             return False, float("inf")
-        residual = linalg.hs_norm(a - self.project(a))
+        residual = self._max_span_residual(a[None])
         return residual < tol.eq_tol, residual
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +137,7 @@ class StarAlgebra:
         """Largest span residual of ``a_i a_j`` over the pairs in ``product_coverage``."""
         d = self.dim
         # the check costs O(pairs * dim * ambient^2); keep it within a flop budget
-        count = min(_FULL_CLOSURE_CHECK_PAIRS, max(512, int(2.5e8 / (d * self.ambient_dim**2))))
+        count = max(512, int(2.5e8 / (d * self.ambient_dim**2)))
         if d * d <= count:
             left, right = np.divmod(np.arange(d * d), d)
         else:

@@ -64,14 +64,17 @@ class AngleContext:
     """Caches the shared machinery across angle computations.
 
     Per context: the basic construction, the dual expectation, the module
-    basis, the index and its inverse. Per intermediate, each computed on
-    first use: the restricted module basis and index (quasi-basis route),
-    the Jones projection, ``z_P = e_P - e``, and the two routes'
-    denominators, ``|E1(z_P)|^(1/2)`` (definition) and
+    basis, the index and its inverse. The module basis and index are built
+    once: by the basic construction when it is built first, as when both
+    routes run, or alone for the quasi-basis route. Per intermediate, each
+    computed on first use: the restricted module basis and index
+    (quasi-basis route), the Jones projection, ``z_P = e_P - e``, and the
+    two routes' denominators, ``|E1(z_P)|^(1/2)`` (definition) and
     ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A pair then costs one
     numerator matrix per route (on the quasi-basis route one contraction
     over Q's quasi-basis, on the definition route one application of E1 to
-    ``z_P z_Q``), and its norms take one ``op_norms`` call per matrix size.
+    ``z_P z_Q``, whose own norm is the commuting residual), and its norms
+    take one ``op_norms`` call per matrix size.
     """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -207,15 +210,12 @@ def _quasibasis_terms(ctx: AngleContext, p: CompatibleIntermediate, q: Compatibl
 
 
 def _definition_terms(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    """The numerator's matrix ``E1(z_P z_Q)`` and the route's denominators."""
+    """The numerator's matrix ``E1(z_P z_Q)``, the route's denominators and
+    ``z_P z_Q`` itself, whose norm decides the commuting square: as
+    ``e_P e = e = e e_Q``, ``z_P z_Q = e_P e_Q - e``."""
     denominators = (ctx.definition_denominator(p), ctx.definition_denominator(q))
     z_pq = ctx.jones_difference(p) @ ctx.jones_difference(q)
-    return ctx.dual.apply(z_pq), denominators
-
-
-def _commuting_residual(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    """``e_P e_Q - e``, whose norm decides the commuting square."""
-    return ctx.jones_projection(p) @ ctx.jones_projection(q) - ctx.bc.e_proj
+    return ctx.dual.apply(z_pq), denominators, z_pq
 
 
 def _op_norms_by_size(mats: list[np.ndarray]) -> list[float]:
@@ -299,19 +299,22 @@ def interior_angle(
     _check_nondegenerate(exp, p, tol)
     _check_nondegenerate(exp, q, tol)
 
-    mats: list[np.ndarray] = []
+    numerators: dict[str, np.ndarray] = {}
     denominators: dict[str, tuple[float, float]] = {}
-    if path in ("quasibasis", "both"):
-        mat, denominators["quasibasis"] = _quasibasis_terms(ctx, p, q)
-        mats.append(mat)
+    residual: list[np.ndarray] = []
+    # the definition route first: the basic construction it builds also builds
+    # the module basis and index that the quasi-basis route reads
     if path in ("definition", "both"):
-        mat, denominators["definition"] = _definition_terms(ctx, p, q)
-        mats += [mat, _commuting_residual(ctx, p, q)]
-    norms = _op_norms_by_size(mats)
-    fragments = {name: (num, denominators[name]) for name, num in zip(denominators, norms)}
-    commuting = None
-    if "definition" in fragments:
-        commuting = (norms[-1] < tol.eq_tol, norms[-1])
+        numerators["definition"], denominators["definition"], z_pq = _definition_terms(
+            ctx, p, q
+        )
+        residual.append(z_pq)
+    if path in ("quasibasis", "both"):
+        numerators["quasibasis"], denominators["quasibasis"] = _quasibasis_terms(ctx, p, q)
+    names = [name for name in ("quasibasis", "definition") if name in numerators]
+    norms = _op_norms_by_size([numerators[name] for name in names] + residual)
+    fragments = {name: (num, denominators[name]) for name, num in zip(names, norms)}
+    commuting = (norms[-1] < tol.eq_tol, norms[-1]) if residual else None
     primary = "definition" if "definition" in fragments else "quasibasis"
     sizes = f"|A over B|={len(ctx.module_basis)}"
     if "quasibasis" in fragments:
@@ -321,20 +324,6 @@ def interior_angle(
     provenance = f"module bases: {sizes}; greedy partial-isometry construction in basis order"
     same = same_span(p.P, q.P, tol)
     return _finish_report(path, fragments, primary, tol, commuting, provenance, same)
-
-
-def is_commuting_square(
-    exp: CondExpectation,
-    p: CompatibleIntermediate,
-    q: CompatibleIntermediate,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    ctx: AngleContext | None = None,
-) -> tuple[bool, float]:
-    """Whether ``e_P e_Q = e_N`` holds, plus the residual."""
-    if ctx is None:
-        ctx = AngleContext(exp, tol)
-    residual = op_norm(_commuting_residual(ctx, p, q))
-    return residual < tol.eq_tol, residual
 
 
 def exterior_angle(

@@ -229,10 +229,6 @@ class Bundle:
     subalgebra: Callable[[groups.PermGroup, Tolerances], StarAlgebra] | None = None
 
 
-def _tensor(algebra: StarAlgebra, k: int, tol: Tolerances) -> StarAlgebra:
-    return tensor_by_factor(algebra, k, tol) if k > 1 else algebra
-
-
 def build_bundle(scenario: Scenario) -> Bundle:
     tol = scenario.tolerances
     k = scenario.tensor_factor
@@ -270,8 +266,8 @@ def build_bundle(scenario: Scenario) -> Bundle:
         )
         fixed, expectation = fixed_point(base, action, tol)
         if k > 1:
-            big = _tensor(base, k, tol)
-            small = _tensor(fixed, k, tol)
+            big = tensor_by_factor(base, k, tol)
+            small = tensor_by_factor(fixed, k, tol)
             expectation = trace_preserving(Inclusion(big=big, small=small), tol)
         return Bundle(scenario, expectation, {}, None)
     else:  # custom_matrix
@@ -290,9 +286,9 @@ def build_bundle(scenario: Scenario) -> Bundle:
                 tol,
             )
 
-    big = _tensor(big, k, tol)
-    small = _tensor(small, k, tol)
-    intermediates = {name: _tensor(m, k, tol) for name, m in intermediates.items()}
+    big = tensor_by_factor(big, k, tol)
+    small = tensor_by_factor(small, k, tol)
+    intermediates = {name: tensor_by_factor(m, k, tol) for name, m in intermediates.items()}
     expectation = trace_preserving(Inclusion(big=big, small=small), tol)
     return Bundle(scenario, expectation, intermediates, oracle, subalgebra)
 
@@ -511,7 +507,7 @@ def _cmd_lattice(bundle: Bundle, path: str, out_dir: Path, stem: str) -> dict:
     exp = bundle.expectation
     cis = [
         make_compatible(
-            exp, _tensor(bundle.subalgebra(m, tol), scenario.tensor_factor, tol), tol
+            exp, tensor_by_factor(bundle.subalgebra(m, tol), scenario.tensor_factor, tol), tol
         )
         for m in proper
     ]

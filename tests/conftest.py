@@ -103,6 +103,14 @@ def scalar_algebra(n: int) -> sa.StarAlgebra:
     return sa.from_span(n, [np.eye(n, dtype=complex)])
 
 
+def permuted(exp: sa.CondExpectation, perm) -> sa.CondExpectation:
+    """``exp`` on its big algebra's basis stored in the order ``perm``: the greedy
+    module basis sweeps the basis in that order."""
+    big = exp.big
+    reordered = sa.StarAlgebra(big.ambient_dim, big.basis[perm])
+    return sa.CondExpectation(sa.Inclusion(big=reordered, small=exp.small), exp.values[perm])
+
+
 @pytest.fixture(scope="session")
 def trace_inclusions():
     """C.1 inside M_n with the trace-preserving expectation, n in 2..4."""

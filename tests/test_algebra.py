@@ -64,8 +64,9 @@ class TestStarAlgebraInvariants:
         alg = sa.from_generators(2, [SIGMA_X])
         member, residual = alg.contains(SIGMA_Z)
         assert not member
-        # sigma_z is HS-orthogonal to span{1, sigma_x}
-        assert residual == pytest.approx(sa.hs_norm(SIGMA_Z), abs=1e-12)
+        # sigma_z is HS-orthogonal to span{1, sigma_x}: the residual is its normalized
+        # Hilbert-Schmidt norm sqrt(tr(sigma_z* sigma_z) / 2) = 1
+        assert residual == pytest.approx(1.0, abs=1e-12)
 
 
 def matrix_units(n: int) -> np.ndarray:

@@ -126,26 +126,24 @@ class TestFullAlgebraAsIntermediate:
 
 class TestCommutingSquare:
     def test_small_algebra_commutes_with_everything(self, suite_d4):
+        # e_B = e, so z_B = 0 and z_B z_Q = 0 for every intermediate Q
         ci_b = sa.make_compatible(suite_d4.expectation, suite_d4.small)
-        flag, residual = sa.is_commuting_square(
-            suite_d4.expectation, ci_b, suite_d4.compat[0], ctx=suite_d4.ctx
-        )
-        assert flag and residual < 1e-10
+        assert op_norm(suite_d4.ctx.jones_difference(ci_b)) < 1e-10
 
     def test_group_characterization(self, suite_d4):
         g, h = suite_d4.group, suite_d4.small_group
         for gk, gl, ci, cj in suite_d4.pairs():
-            flag, _ = sa.is_commuting_square(
-                suite_d4.expectation, ci, cj, ctx=suite_d4.ctx
-            )
-            assert flag == (sa.intersect(gk, gl) == h)
+            rep = sa.interior_angle(suite_d4.expectation, ci, cj, ctx=suite_d4.ctx)
+            assert rep.commuting_square == (sa.intersect(gk, gl) == h)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_group_characterization_under_conjugation(self, seed):
         exp, cis, ctx = conjugated_d4(seed)
         for i, j in itertools.product(range(len(cis)), repeat=2):
-            flag, _ = sa.is_commuting_square(exp, cis[i], cis[j], ctx=ctx)
-            assert flag == (sa.intersect(D4_PROPER[i], D4_PROPER[j]) == sa.trivial(4))
+            rep = sa.interior_angle(exp, cis[i], cis[j], path="definition", ctx=ctx)
+            assert rep.commuting_square == (
+                sa.intersect(D4_PROPER[i], D4_PROPER[j]) == sa.trivial(4)
+            )
 
     def test_intersecting_pair_is_not_commuting(self, suite_d4):
         r = sa.parse_cycles("(1 2 3 4)", 4)
@@ -156,10 +154,60 @@ class TestCommutingSquare:
         ci_l = sa.make_compatible(
             suite_d4.expectation, suite_d4.rep.subalgebra(sa.closure(4, [r * r, s]))
         )
-        flag, residual = sa.is_commuting_square(
-            suite_d4.expectation, ci_k, ci_l, ctx=suite_d4.ctx
-        )
-        assert not flag and residual > 0.1
+        rep = sa.interior_angle(suite_d4.expectation, ci_k, ci_l, ctx=suite_d4.ctx)
+        assert rep.commuting_square is False and rep.commuting_residual > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residual_is_that_of_the_jones_projections(self, seed):
+        # |z_P z_Q| against |e_P e_Q - e| on both floors of a conjugated tower
+        exp, cis, _ = conjugated_d4(seed)
+        ctx = sa.AngleContext(exp)
+        upper = ctx.upper
+        for i, j in itertools.combinations_with_replacement(range(len(cis)), 2):
+            floor = sa.interior_angle(exp, cis[i], cis[j], path="definition", ctx=ctx)
+            e_p, e_q = ctx.jones_projection(cis[i]), ctx.jones_projection(cis[j])
+            oracle = op_norm(e_p @ e_q - ctx.bc.e_proj)
+            assert abs(floor.commuting_residual - oracle) < 1e-13
+            if {i, j} <= {0, 7}:  # one floor up, three pairs
+                up = sa.exterior_angle(exp, cis[i], cis[j], ctx=ctx, second_floor=True)
+                p1, q1 = ctx.first_floor(cis[i]), ctx.first_floor(cis[j])
+                e_p1, e_q1 = upper.jones_projection(p1), upper.jones_projection(q1)
+                oracle = op_norm(e_p1 @ e_q1 - upper.bc.e_proj)
+                assert abs(up.commuting_residual - oracle) < 1e-13
+
+
+class TestOneModuleBasisPerFloor:
+    """A fresh context builds each floor's module basis and index once: with both
+    routes, the quasi-basis route reads those the basic construction built."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict[str, int]:
+        from starangles import angle as angle_module, basic as basic_module, pimsner
+
+        calls = {"orthonormal_basis": 0, "watatani_index": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _original=getattr(pimsner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (angle_module, basic_module):
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_interior_angle_on_both_routes(self, suite_d4, monkeypatch):
+        exp, p, q = suite_d4.expectation, suite_d4.compat[0], suite_d4.compat[-1]
+        calls = self.counted(monkeypatch)
+        sa.interior_angle(exp, p, q, path="both", ctx=sa.AngleContext(exp))
+        # A over B, then P and Q over B
+        assert calls == {"orthonormal_basis": 3, "watatani_index": 3}
+
+    def test_exterior_angle_with_second_floor(self, suite_d4, monkeypatch):
+        exp, p, q = suite_d4.expectation, suite_d4.compat[0], suite_d4.compat[-1]
+        calls = self.counted(monkeypatch)
+        sa.exterior_angle(exp, p, q, ctx=sa.AngleContext(exp), second_floor=True)
+        # A over B, M1 over lambda(A), then P1 and Q1 over lambda(A)
+        assert calls == {"orthonormal_basis": 4, "watatani_index": 4}
 
 
 class TestExteriorAngle:

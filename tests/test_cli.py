@@ -130,6 +130,14 @@ class TestCommands:
         assert results["index_centrality_residual"] < 1e-9
         assert results["index_min_eigenvalue"] > 1e-10
 
+    def test_probabilistic_estimate_within_index_norm(self, d4_scenario, capsys):
+        # at seed 16 rounding drives an ascent on x itself (x -> w x w*) out of the
+        # positive cone, and its estimate above the exact value 8
+        assert run_cli(["verify", d4_scenario, "--seed", "16"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["checks"]["probabilistic_estimate_bounded"] is True
+        assert results["probabilistic_index_estimate"] <= results["index_norm"] + 1e-12
+
     def test_verify_report_is_byte_identical(self, d4_scenario, tmp_path):
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"

@@ -187,6 +187,19 @@ class TestMakeCompatible:
         with pytest.raises(ContainmentError):
             sa.make_compatible(suite_s3.expectation, full_matrix_algebra(6))
 
+    def test_containment_checked_before_any_axiom(self, suite_s3, suite_d4_r2, monkeypatch):
+        from starangles import expectation as expectation_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("axiom check ran before the containment check")
+
+        monkeypatch.setattr(expectation_module, "_verify_expectation_axioms", unreachable)
+        with pytest.raises(ContainmentError):  # P not inside A
+            sa.make_compatible(suite_s3.expectation, full_matrix_algebra(6))
+        reflection = sa.closure(4, [sa.parse_cycles("(1 3)", 4)])
+        with pytest.raises(ContainmentError):  # B = C[<r^2>] not inside P = C[<s>]
+            sa.make_compatible(suite_d4_r2.expectation, suite_d4_r2.rep.subalgebra(reflection))
+
     def test_incompatible_intermediate_detected(self):
         # non-tracial custom expectation onto the scalars with unequal weights:
         # the diagonal algebra is generally not compatible for it

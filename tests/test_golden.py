@@ -4,7 +4,9 @@ Each case runs one command on one scenario in-process and compares the
 exit code, the JSON report and, for ``lattice``, the CSV with the recorded
 ones: keys, strings, ints and bools exactly, floats within 1e-12 and CSV
 cells within 1e-11. Paths under ``--out`` that a report echoes are
-recorded relative to it.
+recorded relative to it. Every command but ``verify`` is covered: its
+stochastic ascent can flip an accept/reject decision under another BLAS
+build.
 
 After an intended change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -23,7 +25,7 @@ from starangles import cli
 HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
 GOLDEN = HERE / "golden"
-COMMANDS = ("angle", "exterior-angle", "lattice")
+COMMANDS = ("angle", "exterior-angle", "lattice", "index", "quasi-basis", "validate")
 CASES = [(path.stem, command) for path in sorted(SCENARIOS.glob("*.json")) for command in COMMANDS]
 FLOAT_TOL = 1e-12
 CELL_TOL = 1e-11

@@ -5,7 +5,7 @@ import starangles as sa
 from starangles.errors import ArgumentError, ConstructionError, InvariantError
 from starangles.linalg import adjoint, op_norm
 
-from conftest import full_matrix_algebra, scalar_algebra
+from conftest import full_matrix_algebra, permuted, scalar_algebra
 
 
 class TestOrthonormalBasis:
@@ -45,10 +45,6 @@ class TestOrthonormalBasis:
         exp = trace_inclusions[2]
         m = np.sqrt(2.0) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         assert op_norm(exp.apply(adjoint(m) @ m) - np.eye(2)) < 1e-12
-
-    def test_bad_order_rejected(self, suite_s3):
-        with pytest.raises(ArgumentError):
-            sa.orthonormal_basis(suite_s3.expectation, order=[0, 0, 1, 2, 3, 4])
 
     @pytest.mark.parametrize(
         "call, member, prop, detail",
@@ -110,10 +106,10 @@ class TestWatataniIndex:
         for suite in all_suites:
             exp = suite.expectation
             value0 = sa.watatani_index(sa.orthonormal_basis(exp)).value
-            reverse = list(range(suite.algebra.dim))[::-1]
-            shuffled = list(rng.permutation(suite.algebra.dim))
+            reverse = np.arange(suite.algebra.dim)[::-1]
+            shuffled = rng.permutation(suite.algebra.dim)
             for order in (reverse, shuffled):
-                value = sa.watatani_index(sa.orthonormal_basis(exp, order=order)).value
+                value = sa.watatani_index(sa.orthonormal_basis(permuted(exp, order))).value
                 assert op_norm(value - value0) < 1e-9, suite.name
 
     def test_nonscalar_index_for_uneven_blocks(self):
