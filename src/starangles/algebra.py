@@ -171,15 +171,16 @@ def spans_subset(
 
 @dataclass(frozen=True)
 class Inclusion:
-    """Unital inclusion ``small`` inside ``big`` with common ambient and unit."""
+    """Unital inclusion ``small`` inside ``big``, containment checked at ``tol``."""
 
     big: StarAlgebra
     small: StarAlgebra
+    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
 
     def __post_init__(self):
         if self.big.ambient_dim != self.small.ambient_dim:
             raise ArgumentError("inclusion requires a common ambient algebra")
-        if not spans_subset(self.small, self.big):
+        if not spans_subset(self.small, self.big, self.tol):
             raise ContainmentError("small algebra is not contained in the big one")
 
 
@@ -369,13 +370,14 @@ def group_algebra(group: PermGroup, tol: Tolerances = DEFAULT_TOLERANCES) -> Gro
 
 @dataclass(frozen=True)
 class GroupAction:
-    """Finite group acting by unitary conjugation on an ambient space."""
+    """Finite group acting by unitary conjugation, its unitaries checked at ``tol``."""
 
     group: PermGroup
     unitaries: dict[Perm, np.ndarray] = field(repr=False)
+    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES
+        tol = self.tol
         ident = identity_perm(self.group.degree)
         if set(self.unitaries) != set(self.group.elements):
             raise ArgumentError("action must assign a unitary to every group element")
@@ -413,7 +415,9 @@ class GroupAction:
 
 
 def action_from_generators(
-    group: PermGroup, generator_unitaries: dict[Perm, np.ndarray]
+    group: PermGroup,
+    generator_unitaries: dict[Perm, np.ndarray],
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> GroupAction:
     """Extend unitaries on generators to the whole group by word closure."""
     ident = identity_perm(group.degree)
@@ -423,7 +427,6 @@ def action_from_generators(
         break
     if n is None:
         raise ArgumentError("at least one generator unitary is required")
-    tol = DEFAULT_TOLERANCES
     table: dict[Perm, np.ndarray] = {ident: np.eye(n, dtype=complex)}
     for g, u in generator_unitaries.items():
         if g not in group:
@@ -445,7 +448,7 @@ def action_from_generators(
         frontier = nxt
     if set(table) != set(group.elements):
         raise ArgumentError("generator unitaries do not reach the whole group")
-    return GroupAction(group, table)
+    return GroupAction(group, table, tol)
 
 
 @dataclass(frozen=True)
@@ -537,6 +540,6 @@ def fixed_point(
         / order
     )
     fixed = from_span(base.ambient_dim, list(averaged), tol)
-    expectation = CondExpectation(inclusion=Inclusion(big=base, small=fixed), values=averaged)
+    expectation = CondExpectation(Inclusion(big=base, small=fixed, tol=tol), values=averaged)
     _verify_expectation_axioms(expectation, tol)
     return fixed, expectation

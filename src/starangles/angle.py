@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import basic, groups
-from .algebra import from_generators, same_span
+from .algebra import same_span
 from .errors import (
     ArgumentError,
     DegenerateDenominatorError,
@@ -68,8 +68,10 @@ class AngleContext:
     once: by the basic construction when it is built first, as when both
     routes run, or alone for the quasi-basis route. Per intermediate, each
     computed on first use: the restricted module basis and index
-    (quasi-basis route), the Jones projection, ``z_P = e_P - e``, and the
-    two routes' denominators, ``|E1(z_P)|^(1/2)`` (definition) and
+    (quasi-basis route), the Jones projection, ``z_P = e_P - e``, the
+    first-floor algebra ``P1`` (``basic.first_floor_algebra``, the pair span
+    that builds M1) with its compatible expectation, and the two routes'
+    denominators, ``|E1(z_P)|^(1/2)`` (definition) and
     ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A pair then costs one
     numerator matrix per route (on the quasi-basis route one contraction
     over Q's quasi-basis, on the definition route one application of E1 to
@@ -181,13 +183,11 @@ class AngleContext:
         return self._upper
 
     def first_floor(self, ci: CompatibleIntermediate) -> CompatibleIntermediate:
-        """``P1 = <lambda(A), e_P>`` as a compatible intermediate for the dual."""
+        """``P1 = <lambda(A), e_P>`` from the pair span, made compatible with the dual."""
         cache = self._cache(ci)
         if "floor_one" not in cache:
-            bc = self.bc
-            algebra_one = from_generators(
-                bc.rep_dim, list(bc.lambda_stack) + [self.jones_projection(ci)], self.tol
-            )
+            e_p = self.jones_projection(ci)
+            algebra_one = basic.first_floor_algebra(self.bc, ci, e_p, self.tol)
             cache["floor_one"] = make_compatible(self.dual, algebra_one, self.tol)
         return cache["floor_one"]
 

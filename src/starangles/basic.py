@@ -21,7 +21,9 @@ and the dual expectation's value table on it: the minimum-norm extension
 of ``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not
 kept; the dual is the ``CondExpectation`` with lambda of that table as its
 values, so one application of ``E1`` goes through lambda(A)'s coordinates
-like every other expectation of the tower.
+like every other expectation of the tower. A first-floor algebra
+``P1 = <lambda(A), e_P>``, the basic construction of P in A, is the same
+pair span for ``F_P``, P and ``e_P``, without a table.
 """
 
 from __future__ import annotations
@@ -104,11 +106,12 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
 
     M1 is the span of ``lambda(m_j b) e lambda(m_k)*`` over the module
     basis ``{m_j}`` and a basis of B, an orthogonal sum of one block per
-    pair ``(j, k)``. One batched thin SVD over the blocks gives M1's
-    orthonormal basis and ``dual_table``, the dual expectation's values on
-    that basis; the family is then dropped. ``lambda`` of the module basis
-    and of B's basis is computed once and shared by the checks and the
-    family. The span lies inside ``<lambda(A), e>`` by construction; the
+    pair ``(j, k)`` (``_pair_blocks``). One batched thin SVD over the blocks
+    (``_block_svd``, shared with ``first_floor_algebra``) gives M1's
+    orthonormal basis, and ``dual_table``, the dual expectation's values on
+    that basis, is read off the same factors; the family is then dropped.
+    ``lambda`` of the module basis and of B's basis is computed once and
+    shared by the checks and the family. The span lies inside ``<lambda(A), e>`` by construction; the
     build checks that it contains every ``lambda(a)`` and ``e``, so the two
     algebras are equal.
     """
@@ -163,9 +166,11 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
     # unbound, so the family is freed before M1's closure checks run
-    m1_basis, bc.dual_table = _minimum_norm_table(
-        *_spanning_family(bc, lam_m, lam_b), d, tol
-    )
+    m1_basis, u, s, keep = _block_svd(_pair_blocks(lam_m, lam_b, e_proj), tol)
+    m, m_h = module.elements, np.conj(module.elements.transpose(0, 2, 1))
+    pre = bc.index.inverse() @ m[:, None] @ b.basis[None]
+    values = (pre[:, None] @ m_h[None, :, None]).reshape(-1, *b.basis.shape)
+    bc.dual_table = _minimum_norm_table(u, s, keep, values, d, tol)
     bc.m1 = StarAlgebra(d, m1_basis, tol)
     generators = np.concatenate([bc.lambda_stack, e_proj[None]])
     contains = bc.m1._max_span_residual(generators)
@@ -174,64 +179,57 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     return bc
 
 
-def _spanning_family(
-    bc: BasicConstruction, lam_m: np.ndarray, lam_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """M1's spanning family, one block per module-basis pair, with its values.
+def _pair_blocks(lam_m: np.ndarray, lam_s: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Block ``j * J + k``: ``lambda(m_j s_t) proj lambda(m_k)*`` over S's basis ``s_t``.
 
-    Block ``j * J + k`` holds ``lambda(m_j b_t) e lambda(m_k)*`` over B's
-    basis ``b_t``, flattened to rows of length ``d^2``, and carries the
-    prescribed values ``index^{-1} m_j b_t m_k*``; ``lam_m`` and ``lam_b``
-    are ``lambda`` of the module basis and of B's basis. Blocks of different
-    pairs are orthogonal: with ``e lambda(a) e = lambda(E(a)) e``, the
-    inner product of two members reduces to ``E(m_j* m_j') = delta_jj' p_j``
-    and ``E(m_k'* m_k) = delta_kk' p_k``.
+    ``lam_m`` and ``lam_s`` are lambda of an orthonormal module basis of an
+    expectation F onto S and of S's basis, ``proj`` is F's Jones projection.
+    As ``proj lambda(a) proj = lambda(F(a)) proj`` and
+    ``F(m_j* m_j') = delta_jj' p_j``, blocks of different pairs are orthogonal.
     """
-    b = bc.source.small
-    module = bc.module_basis.elements
-    module_h = np.conj(module.transpose(0, 2, 1))
-    left = lam_m[:, None] @ lam_b[None]  # (j, t)
-    right = bc.e_proj @ np.conj(lam_m.transpose(0, 2, 1))  # (k,)
-    blocks = (left[:, None] @ right[None, :, None]).reshape(-1, b.dim, bc.rep_dim**2)
-    pre = bc.index.inverse() @ module[:, None] @ b.basis[None]
-    values = (pre[:, None] @ module_h[None, :, None]).reshape(-1, *b.basis.shape)
-    return blocks, values
+    left = lam_m[:, None] @ lam_s[None]  # (j, t)
+    right = proj @ np.conj(lam_m.transpose(0, 2, 1))  # (k,)
+    return (left[:, None] @ right[None, :, None]).reshape(-1, *left.shape[1:])
+
+
+def _block_svd(blocks: np.ndarray, tol: Tolerances):
+    """Orthonormal basis ``sqrt(d) vh`` of the span of mutually orthogonal
+    ``blocks`` (stacks of ``d x d`` matrices), from each block's thin SVD
+    ``u diag(s) vh`` truncated at ``rank_tol`` times the largest ``s`` of all
+    blocks (``keep``); orthogonal blocks make it the whole family's thin SVD.
+    Returns ``(basis, u, s, keep)``.
+    """
+    d = blocks.shape[-1]
+    # SVD of each block's tall transpose: blocks = vt^T diag(s) ut^T
+    flat = blocks.reshape(*blocks.shape[:2], d * d)
+    ut, s, vt = np.linalg.svd(np.swapaxes(flat, 1, 2), full_matrices=False)
+    keep = s > tol.rank_tol * s.max()
+    basis = np.swapaxes(ut, 1, 2)[keep]  # a copy, scaled in place: the largest array here
+    basis *= np.sqrt(d)
+    return basis.reshape(-1, d, d), np.swapaxes(vt, 1, 2), s, keep
 
 
 def _minimum_norm_table(
-    blocks: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the span of mutually orthogonal ``blocks`` (each
-    a stack of flattened ``d x d`` matrices) and the minimum-norm linear
-    extension of ``values`` (one matrix per row) on it.
+    u: np.ndarray, s: np.ndarray, keep: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
+) -> np.ndarray:
+    """The minimum-norm linear extension of ``values`` (one matrix per family
+    member) on the basis ``_block_svd`` read off the factors ``u, s, keep``:
+    ``sqrt(d) diag(1/s) u^H values``, concatenated over the blocks.
 
-    With each block's thin SVD ``u diag(s) vh``, truncated at ``rank_tol``
-    times the largest singular value of all blocks, the basis is
-    ``sqrt(d) vh`` (orthonormal in the normalized Hilbert-Schmidt product)
-    and its values are ``sqrt(d) diag(1/s) u^H values``, concatenated over
-    the blocks. Orthogonal blocks make this the thin SVD of the whole family.
     The prescription is linear only if, on every block, it vanishes on the
     block's kernel, i.e. ``values = u u^H values``; otherwise this raises.
     """
-    # SVD of each block's tall transpose: blocks = vt^T diag(s) ut^T
-    ut, s, vt = np.linalg.svd(np.swapaxes(blocks, 1, 2), full_matrices=False)
-    u, vh = np.swapaxes(vt, 1, 2), np.swapaxes(ut, 1, 2)
-    keep = s > tol.rank_tol * s.max()
     flat = values.reshape(*values.shape[:2], -1)
-    coeffs = np.conj(vt) @ flat  # u^H values
+    coeffs = np.conj(np.swapaxes(u, 1, 2)) @ flat  # u^H values
     # a block whose u is square unitary is consistent with every prescription
-    deficient = keep.sum(axis=1) < blocks.shape[1]
+    deficient = keep.sum(axis=1) < u.shape[1]
     if deficient.any():
         kept_u = u[deficient] * keep[deficient][:, None, :]
         drift = flat[deficient] - kept_u @ coeffs[deficient]
         inconsistency = max_op_norm(drift.reshape(-1, *values.shape[2:]), tol.eq_tol)
         if inconsistency > tol.eq_tol:
             raise ConstructionError("dual prescription consistency", inconsistency)
-    basis = vh[keep]  # a copy, scaled in place: M1's basis is the largest array here
-    basis *= np.sqrt(d)
-    basis = basis.reshape(-1, d, d)
-    table = (coeffs[keep] * (np.sqrt(d) / s[keep])[:, None]).reshape(-1, *values.shape[2:])
-    return basis, table
+    return (coeffs[keep] * (np.sqrt(d) / s[keep])[:, None]).reshape(-1, *values.shape[2:])
 
 
 def dual_expectation(
@@ -243,7 +241,7 @@ def dual_expectation(
     of ``lambda(x) e lambda(y) -> index^{-1} x y`` on M1's basis.
     """
     dual = CondExpectation(
-        inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra),
+        inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra, tol=tol),
         values=bc.lambda_many(bc.dual_table),
     )
     _verify_expectation_axioms(dual, tol)
@@ -280,3 +278,29 @@ def intermediate_jones_projection(
     if absorb > tol.eq_tol:
         raise InvariantError(f"e_P e = e = e e_P fails ({absorb:.3e})")
     return e_p
+
+
+def first_floor_algebra(
+    bc: BasicConstruction,
+    ci: CompatibleIntermediate,
+    e_p: np.ndarray,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> StarAlgebra:
+    """``P1 = <lambda(A), e_P>``, the basic construction of P in A, inside M1.
+
+    The pair span of ``lambda(mu_j p) e_P lambda(mu_k)*`` over a module basis
+    ``{mu_j}`` of ``F_P`` and P's basis, as for M1: ``F_P`` preserves the
+    state, so ``e_P lambda(a) e_P = lambda(F_P(a)) e_P``. Raises first unless
+    the span contains every ``lambda(a)`` and ``e_p``, so that a wrong
+    ``e_p`` is named as such.
+    """
+    d = bc.rep_dim
+    lam_mu = bc.lambda_many(orthonormal_basis(ci.F, tol).elements)
+    basis, *_ = _block_svd(_pair_blocks(lam_mu, bc.lambda_many(ci.P.basis), e_p), tol)
+    rows = basis.reshape(len(basis), d * d)
+    gens = np.concatenate([bc.lambda_stack, e_p[None]]).reshape(-1, d * d)
+    outside = gens - np.conj(np.conj(gens) @ rows.T) @ rows / d
+    contains = float(np.linalg.norm(outside, axis=1).max() / np.sqrt(d))
+    if contains > tol.eq_tol:
+        raise ConstructionError("P1 contains lambda(A) and e_P", contains)
+    return StarAlgebra(d, basis, tol)

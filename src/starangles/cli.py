@@ -240,10 +240,7 @@ def build_bundle(scenario: Scenario) -> Bundle:
             built = group_algebra(scenario.group, tol)
         else:
             base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
-            action = action_from_generators(
-                scenario.group,
-                {g: u for g, u in scenario.action_unitaries.items()},
-            )
+            action = action_from_generators(scenario.group, scenario.action_unitaries, tol)
             built = crossed_product(base, action, tol)
         subalgebra = built.subalgebra
         big = built.algebra
@@ -252,23 +249,15 @@ def build_bundle(scenario: Scenario) -> Bundle:
             intermediates["K"] = subalgebra(scenario.subgroup_k, tol)
         if scenario.subgroup_l is not None:
             intermediates["L"] = subalgebra(scenario.subgroup_l, tol)
-        oracle = (
-            scenario.group,
-            scenario.subgroup_h,
-            scenario.subgroup_k,
-            scenario.subgroup_l,
-        )
+        oracle = (scenario.group, scenario.subgroup_h, scenario.subgroup_k, scenario.subgroup_l)
     elif scenario.kind == "fixed_point":
         base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
-        action = action_from_generators(
-            scenario.group,
-            {g: u for g, u in scenario.action_unitaries.items()},
-        )
+        action = action_from_generators(scenario.group, scenario.action_unitaries, tol)
         fixed, expectation = fixed_point(base, action, tol)
         if k > 1:
             big = tensor_by_factor(base, k, tol)
             small = tensor_by_factor(fixed, k, tol)
-            expectation = trace_preserving(Inclusion(big=big, small=small), tol)
+            expectation = trace_preserving(Inclusion(big=big, small=small, tol=tol), tol)
         return Bundle(scenario, expectation, {}, None)
     else:  # custom_matrix
         big = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
@@ -289,7 +278,7 @@ def build_bundle(scenario: Scenario) -> Bundle:
     big = tensor_by_factor(big, k, tol)
     small = tensor_by_factor(small, k, tol)
     intermediates = {name: tensor_by_factor(m, k, tol) for name, m in intermediates.items()}
-    expectation = trace_preserving(Inclusion(big=big, small=small), tol)
+    expectation = trace_preserving(Inclusion(big=big, small=small, tol=tol), tol)
     return Bundle(scenario, expectation, intermediates, oracle, subalgebra)
 
 

@@ -297,9 +297,9 @@ def make_compatible(
     a, b = exp.big, exp.small
     p = intermediate
     # both inclusions check containment, B in P second, before any axiom check
-    into_big = Inclusion(big=a, small=p)
+    into_big = Inclusion(big=a, small=p, tol=tol)
     restricted = CondExpectation(
-        inclusion=Inclusion(big=p, small=b), values=exp.apply_many(p.basis)
+        inclusion=Inclusion(big=p, small=b, tol=tol), values=exp.apply_many(p.basis)
     )
     _verify_expectation_axioms(restricted, tol)
 

@@ -252,7 +252,26 @@ class TestRelativeCommutant:
             sa.relative_commutant(full_matrix_algebra(2), full_matrix_algebra(3))
 
 
+# eq_tol loose enough for a perturbation of 1e-8, which the default rejects
+LOOSE = sa.Tolerances(eq_tol=1e-6, rank_tol=1e-10, angle_tol=1e-8)
+
+
 class TestInclusion:
+    def test_containment_at_the_callers_eq_tol(self, suite_d4):
+        # C[<r>] in C[D4] rotated by exp(i 1e-8 h) lies about 1e-8 outside C[D4]
+        rotation = sa.closure(4, [sa.parse_cycles("(1 2 3 4)", 4)])
+        h = sa.linalg.random_matrix(np.random.default_rng(8), 8)
+        w, v = np.linalg.eigh(h + adjoint(h))
+        u = (v * np.exp(1e-8j * w)) @ adjoint(v)
+        p = suite_d4.rep.subalgebra(rotation)
+        rotated = sa.StarAlgebra(8, u @ p.basis @ adjoint(u))
+        outside = suite_d4.algebra._max_span_residual(rotated.basis)
+        assert LOOSE.eq_tol > outside > sa.DEFAULT_TOLERANCES.eq_tol
+        ci = sa.make_compatible(suite_d4.expectation, rotated, LOOSE)
+        assert ci.P is rotated
+        with pytest.raises(ContainmentError):
+            sa.make_compatible(suite_d4.expectation, rotated)
+
     def test_rejects_non_subalgebra(self):
         with pytest.raises(ContainmentError):
             sa.Inclusion(big=sa.from_generators(2, [SIGMA_Z]), small=sa.from_generators(2, [SIGMA_X]))
@@ -268,6 +287,17 @@ class TestGroupAction:
         bad = np.diag([1.0, 1j])  # squares to diag(1, -1) != identity
         with pytest.raises(ArgumentError):
             sa.action_from_generators(sa.closure(2, [flip]), {flip: bad})
+
+    def test_unitarity_at_the_callers_eq_tol(self):
+        flip = sa.parse_cycles("(1 2)", 2)
+        group = sa.closure(2, [flip])
+        near = {g: (1.0 + 1e-8) * SIGMA_X if g == flip else np.eye(2) for g in group.elements}
+        assert sa.GroupAction(group, near, LOOSE).tol is LOOSE
+        sa.action_from_generators(group, {flip: near[flip]}, LOOSE)
+        with pytest.raises(ArgumentError):
+            sa.GroupAction(group, near)
+        with pytest.raises(ArgumentError):
+            sa.action_from_generators(group, {flip: near[flip]})
 
     def test_non_unitary_rejected(self):
         flip = sa.parse_cycles("(1 2)", 2)

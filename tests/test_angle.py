@@ -206,8 +206,9 @@ class TestOneModuleBasisPerFloor:
         exp, p, q = suite_d4.expectation, suite_d4.compat[0], suite_d4.compat[-1]
         calls = self.counted(monkeypatch)
         sa.exterior_angle(exp, p, q, ctx=sa.AngleContext(exp), second_floor=True)
-        # A over B, M1 over lambda(A), then P1 and Q1 over lambda(A)
-        assert calls == {"orthonormal_basis": 4, "watatani_index": 4}
+        # A over B, A over P and over Q (P1's and Q1's pair blocks), M1 over
+        # lambda(A), then P1 and Q1 over lambda(A); no index of A over P or Q
+        assert calls == {"orthonormal_basis": 6, "watatani_index": 4}
 
 
 class TestExteriorAngle:
@@ -240,6 +241,36 @@ class TestExteriorAngle:
         assert rep.path == "both"
         assert rep.path_disagreement is not None
         assert rep.path_disagreement < 1e-7
+
+    def test_no_generator_closure(self, suite_d4, monkeypatch):
+        # P1 and Q1 come from pair blocks; the second-floor angle equals the one
+        # between the generator closures of lambda(A) + e_P and lambda(A) + e_Q
+        exp, ctx = suite_d4.expectation, suite_d4.ctx
+        bc = ctx.bc
+
+        def closure_floor(ci):
+            gens = list(bc.lambda_stack) + [ctx.jones_projection(ci)]
+            return sa.make_compatible(ctx.dual, sa.from_generators(bc.rep_dim, gens))
+
+        floors = [closure_floor(ci) for ci in suite_d4.compat]
+        oracle_ctx = sa.AngleContext(ctx.dual)
+        pairs = list(itertools.combinations_with_replacement(range(len(floors)), 2))
+        expected = [
+            sa.interior_angle(ctx.dual, floors[i], floors[j], ctx=oracle_ctx).cos_value
+            for i, j in pairs
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator closure on the angle path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "starangles" and hasattr(module, "from_generators"):
+                monkeypatch.setattr(module, "from_generators", refuse)
+        fresh = sa.AngleContext(exp)
+        for (i, j), cos in zip(pairs, expected):
+            p, q = suite_d4.compat[i], suite_d4.compat[j]
+            rep = sa.exterior_angle(exp, p, q, ctx=fresh, second_floor=True)
+            assert abs(rep.cos_value - cos) < DEFAULT_TOLERANCES.angle_tol, (i, j)
 
     def test_incompatible_first_floor_reported(self, suite_s3, monkeypatch):
         from starangles import angle as angle_module

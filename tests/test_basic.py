@@ -254,23 +254,28 @@ class TestRankDeficientDual:
         bc, *_ = s3_tensor_m2
         blocks, values = family_blocks(bc)
         tol = DEFAULT_TOLERANCES
-        basic._minimum_norm_table(blocks, values, bc.rep_dim, tol)  # consistent: no raise
+        _, u, s, keep = basic._block_svd(blocks, tol)
+        basic._minimum_norm_table(u, s, keep, values, bc.rep_dim, tol)  # consistent: no raise
         # a perturbation along the orthogonal complement of each block's range
-        u, s, _ = np.linalg.svd(blocks, full_matrices=False)
-        u = u * (s > tol.rank_tol * s.max())[:, None, :]
+        kept_u = u * keep[:, None, :]
         noise = np.random.default_rng(12).standard_normal(values.shape)
         noise = noise.reshape(*blocks.shape[:2], -1)
-        noise = (noise - u @ (np.conj(np.swapaxes(u, 1, 2)) @ noise)).reshape(values.shape)
+        noise = noise - kept_u @ (np.conj(np.swapaxes(kept_u, 1, 2)) @ noise)
         with pytest.raises(ConstructionError) as err:
-            basic._minimum_norm_table(blocks, values + 1e-6 * noise, bc.rep_dim, tol)
+            basic._minimum_norm_table(
+                u, s, keep, values + 1e-6 * noise.reshape(values.shape), bc.rep_dim, tol
+            )
         assert err.value.prop == "dual prescription consistency"
 
 
 def family_blocks(bc):
-    """The spanning family's pair blocks and their prescribed values."""
-    lam_m = bc.lambda_many(bc.module_basis.elements)
-    lam_b = bc.lambda_many(bc.source.small.basis)
-    return basic._spanning_family(bc, lam_m, lam_b)
+    """M1's spanning family's pair blocks and their prescribed values
+    ``index^{-1} m_j b_t m_k*``."""
+    m, b = bc.module_basis.elements, bc.source.small.basis
+    blocks = basic._pair_blocks(bc.lambda_many(m), bc.lambda_many(b), bc.e_proj)
+    pre = bc.index.inverse() @ m[:, None] @ b[None]
+    values = pre[:, None] @ np.conj(m.transpose(0, 2, 1))[None, :, None]
+    return blocks, values.reshape(-1, *b.shape)
 
 
 class TestPairFactorization:
@@ -280,7 +285,7 @@ class TestPairFactorization:
     def family(self, request):
         built = request.getfixturevalue(request.param)
         bc = built[0] if request.param == "s3_tensor_m2" else built
-        blocks, _ = family_blocks(bc)
+        blocks = family_blocks(bc)[0].reshape(-1, bc.source.small.dim, bc.rep_dim**2)
         return bc, blocks, blocks.reshape(-1, bc.rep_dim**2)
 
     def test_gram_is_block_diagonal(self, family):
@@ -388,6 +393,59 @@ class TestIntermediateJonesProjection:
         bc = suite_s3.ctx.bc
         with pytest.raises(ArgumentError):
             basic.intermediate_jones_projection(bc, suite_d4.compat[0])
+
+
+def assert_first_floor_is_generated(bc, ci):
+    """The pair-span ``P1`` equals the closure of ``lambda(A)`` and ``e_P``."""
+    e_p = basic.intermediate_jones_projection(bc, ci)
+    p1 = basic.first_floor_algebra(bc, ci, e_p)
+    generated = sa.from_generators(bc.rep_dim, list(bc.lambda_stack) + [e_p])
+    assert p1.dim == generated.dim
+    assert sa.same_span(p1, generated)
+
+
+class TestFirstFloorAlgebra:
+    """``P1 = <lambda(A), e_P>`` from pair blocks, against the generator closure."""
+
+    def test_matches_generated_algebra(self, suite_d4):
+        for ci in suite_d4.compat:
+            assert_first_floor_is_generated(suite_d4.ctx.bc, ci)
+
+    def test_matches_generated_algebra_over_a_noncommutative_small_algebra(self, s3_tensor_m2):
+        bc = s3_tensor_m2[0]
+        exp = bc.source
+        rep = sa.group_algebra(sa.symmetric(3))
+        subgroups = sa.intermediate_subgroups(sa.symmetric(3), sa.trivial(3))
+        for m in [m for m in subgroups if len(m) not in (1, 6)]:
+            p = sa.tensor_by_factor(rep.subalgebra(m), 2)
+            assert_first_floor_is_generated(bc, sa.make_compatible(exp, p))
+
+    def test_matches_generated_algebra_for_a_non_tracial_state(self):
+        # E = tr(h .) 1 on M_3: F_P preserves the non-tracial state, which makes
+        # the pair blocks orthogonal
+        n = 3
+        h = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        big = full_matrix_algebra(n)
+        values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
+        exp = sa.expectation_from_values(sa.Inclusion(big=big, small=scalar_algebra(n)), values)
+        bc = basic.build(exp)
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        for p in ([units[0] + units[4], units[8]], list(units[[0, 4, 8]])):
+            assert_first_floor_is_generated(bc, sa.make_compatible(exp, sa.from_span(n, p)))
+
+    def test_dimension_closed_form(self, all_suites):
+        # P1 is the basic construction of C[K] in C[G]: dim P1 = |G| [G:K]
+        for suite in all_suites:
+            bc = suite.ctx.bc
+            for k, ci in zip(suite.intermediate_groups, suite.compat):
+                p1 = basic.first_floor_algebra(bc, ci, suite.ctx.jones_projection(ci))
+                assert p1.dim == len(suite.group) * sa.index(suite.group, k), suite.name
+
+    def test_wrong_projection_rejected(self, suite_d4):
+        bc = suite_d4.ctx.bc
+        with pytest.raises(ConstructionError) as err:
+            basic.first_floor_algebra(bc, suite_d4.compat[0], bc.e_proj)
+        assert err.value.prop == "P1 contains lambda(A) and e_P"
 
 
 class TestSecondFloor:
