@@ -272,22 +272,30 @@ def commutant_within(
     constraints: Sequence[np.ndarray],
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> StarAlgebra:
-    """Elements of ``algebra`` commuting with every constraint matrix."""
+    """Elements of ``algebra`` commuting with every constraint matrix.
+
+    The commutant is the null space of ``x -> ([x, m])_m`` on the algebra's
+    coordinates. A singular value of that map is ``(sum_m |[x, m]|_F^2)^(1/2)``
+    for an ``x`` of unit coordinates, so a direction counts toward its rank
+    only above ``rank_tol`` times the largest and above an absolute floor,
+    ``eq_tol`` times the constraints' Frobenius norm ``(sum_m |m|_F^2)^(1/2)``:
+    an ``x`` whose commutators are that small relative to the constraints
+    commutes within the library's equality. Without the floor, commutators
+    that vanish up to rounding (every constraint central, or scalar) would
+    count their noise as rank.
+    """
     n = algebra.ambient_dim
-    blocks = []
-    for c in constraints:
-        m = as_square_matrix(c)
-        if m.shape[0] != n:
-            raise ArgumentError("constraint matrix does not match the ambient dimension")
-        comm = algebra.basis @ m - m @ algebra.basis
-        blocks.append(comm.reshape(algebra.dim, -1))
-    if not blocks:
+    mats = [as_square_matrix(c) for c in constraints]
+    if any(m.shape[0] != n for m in mats):
+        raise ArgumentError("constraint matrix does not match the ambient dimension")
+    if not mats:
         return algebra
+    blocks = [(algebra.basis @ m - m @ algebra.basis).reshape(algebra.dim, -1) for m in mats]
     system = np.concatenate(blocks, axis=1).T  # (constraints*n^2, dim)
+    floor = tol.eq_tol * float(np.linalg.norm(np.stack(mats)))
     # tall (n^2 >= dim), so the thin vh still has all dim rows
     _, s, vh = np.linalg.svd(system, full_matrices=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol.rank_tol * scale))
+    rank = int(np.sum(s > max(tol.rank_tol * s[0], floor)))
     null = np.conj(vh[rank:])
     mats = [algebra.reconstruct(c) for c in null]
     if not mats:  # pragma: no cover - identity always commutes

@@ -15,10 +15,27 @@ and ``{delta_k}`` of the restriction to Q,
 where the numerator's sum equals ``sum_k F_P(delta_k) delta_k*``, since
 ``sum_j mu_j E(mu_j* y) = F_P(y)`` by compatibility and bimodularity.
 
-Norms of algebra elements are operator norms. The dual ``E1`` takes
-values in lambda(A), and ``|lambda(a)| = |a|``: lambda is a faithful
-*-representation, hence isometric. For group-algebra inclusions both
-routes reproduce the closed form
+Norms of algebra elements are operator norms, each taken in the smallest
+exact picture, by three identities:
+
+- *lambda is isometric.* ``E1`` takes values in lambda(A), and lambda is
+  a *-representation of A that is faithful (``lambda(a)`` sends the vector
+  of 1 to that of ``a``, nonzero for ``a != 0`` as the state is faithful).
+  An injective *-homomorphism of C*-algebras is isometric, so
+  ``|E1(x)| = |a|`` for the ``a`` in A with ``lambda(a) = E1(x)``: the
+  definition route reads ``E1`` in A's ``n x n`` matrices instead of
+  ``dim A x dim A`` ones.
+- *Isometries do not change norms.* For isometries ``V, W``
+  (``V* V = 1 = W* W``), ``|V C W*|^2 = |W C* C W*| = |C* C| = |C|^2``,
+  as ``W C* C W*`` and ``C* C W* W = C* C`` share their nonzero spectrum. With
+  ``z_P = Z_P Z_P*`` for an isometry ``Z_P`` onto its range,
+  ``z_P z_Q = Z_P (Z_P* Z_Q) Z_Q*``, so ``|z_P z_Q| = |Z_P* Z_Q|``.
+- *``rank z_P = dim P - dim B``.* ``e_P`` projects L2(A) onto L2(P) and
+  ``e`` onto L2(B), which lies inside it, so ``z_P`` projects onto their
+  difference, of dimension ``dim P - dim B`` (the state is faithful).
+  ``Z_P* Z_Q`` is ``r_P x r_Q`` with ``r_P = dim P - dim B``.
+
+For group-algebra inclusions both routes reproduce the closed form
 ``([K n L : H] - 1) / (sqrt([K:H] - 1) sqrt([L:H] - 1))``.
 """
 
@@ -39,7 +56,7 @@ from .errors import (
     InvariantError,
 )
 from .expectation import CompatibleIntermediate, CondExpectation, make_compatible
-from .linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, op_norms
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, batches, op_norm, op_norms
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
 
@@ -64,19 +81,23 @@ class AngleContext:
     """Caches the shared machinery across angle computations.
 
     Per context: the basic construction, the dual expectation, the module
-    basis, the index and its inverse. The module basis and index are built
-    once: by the basic construction when it is built first, as when both
-    routes run, or alone for the quasi-basis route. Per intermediate, each
-    computed on first use: the restricted module basis and index
-    (quasi-basis route), the Jones projection, ``z_P = e_P - e``, the
-    first-floor algebra ``P1`` (``basic.first_floor_algebra``, the pair span
-    that builds M1) with its compatible expectation, and the two routes'
-    denominators, ``|E1(z_P)|^(1/2)`` (definition) and
+    basis, the index and its inverse, and lambda^{-1} on lambda(A)'s basis
+    (``R = C^{-1} A_flat`` for ``C`` the lambda(A)-coordinates of lambda of
+    A's basis), which reads ``E1`` in A. The module basis and index are
+    built once: by the basic construction when it is built first, as when
+    both routes run, or alone for the quasi-basis route. Per intermediate,
+    each computed on first use: the restricted module basis and index
+    (quasi-basis route), the Jones projection, ``z_P = e_P - e`` with the
+    isometry ``Z_P`` onto its range, the first-floor algebra ``P1``
+    (``basic.first_floor_algebra``, the pair span that builds M1) with its
+    compatible expectation, and the two routes' denominators,
+    ``|E1(z_P)|^(1/2)`` (definition, ``E1`` read in A) and
     ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A pair then costs one
-    numerator matrix per route (on the quasi-basis route one contraction
-    over Q's quasi-basis, on the definition route one application of E1 to
-    ``z_P z_Q``, whose own norm is the commuting residual), and its norms
-    take one ``op_norms`` call per matrix size.
+    numerator matrix per route, both ``n x n`` in A (on the quasi-basis
+    route one contraction over Q's quasi-basis, on the definition route
+    ``E1(z_P z_Q)`` read in A), and the commuting residual ``Z_P* Z_Q``
+    (``r_P x r_Q``, of norm ``|z_P z_Q|``); its norms take one ``op_norms``
+    call per matrix shape.
     """
 
     def __init__(self, exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -87,6 +108,7 @@ class AngleContext:
         self._module: ModuleBasis | None = None
         self._index: WatataniIndex | None = None
         self._index_inverse: np.ndarray | None = None
+        self._lambda_inverse: np.ndarray | None = None
         self._per_intermediate: dict[int, dict] = {}
         self._upper: AngleContext | None = None
 
@@ -144,10 +166,12 @@ class AngleContext:
         return cache["jones"]
 
     def jones_difference(self, ci: CompatibleIntermediate) -> np.ndarray:
-        """``z_P = e_P - e``, checked once to lie in M1.
+        """``z_P = e_P - e``, checked once to lie in M1 and to be a projection.
 
         Every product ``z_P z_Q`` the definition route applies E1 to then lies
-        in M1 too, as M1 is closed under products.
+        in M1 too, as M1 is closed under products. The isometry ``Z_P`` onto
+        its range (``jones_range``) is cached beside it: the eigenvectors of
+        eigenvalue 1, every eigenvalue being within ``eq_tol`` of 0 or 1.
         """
         cache = self._cache(ci)
         if "z" not in cache:
@@ -155,15 +179,43 @@ class AngleContext:
             member, outside = self.bc.m1.contains(z, self.tol)
             if not member:
                 raise InvariantError(f"e_P - e is not in M1 (residual {outside:.3e})")
-            cache["z"] = z
+            w, v = np.linalg.eigh((z + adjoint(z)) / 2.0)
+            off = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
+            if off > self.tol.eq_tol:
+                raise InvariantError(f"e_P - e is not a projection (eigenvalue off by {off:.3e})")
+            cache["z"], cache["z_range"] = z, v[:, w > 0.5]
         return cache["z"]
 
+    def jones_range(self, ci: CompatibleIntermediate) -> np.ndarray:
+        """``Z_P``: an isometry onto the range of ``z_P``, ``z_P = Z_P Z_P*``,
+        with ``dim P - dim B`` columns."""
+        self.jones_difference(ci)
+        return self._cache(ci)["z_range"]
+
+    def _dual_in_algebra(self, stack: np.ndarray) -> np.ndarray:
+        """``E1`` of each matrix in a stack, read in A: the ``a`` with ``lambda(a) = E1(x)``.
+
+        ``E1(x)`` has lambda(A)-coordinates ``c``, and ``lambda(a_i) = sum_t C[i, t] l_t``
+        for A's basis ``a_i`` and lambda(A)'s ``l_t``, so ``l_t = lambda((C^{-1} A)_t)``
+        and ``a = c C^{-1} A``.
+        """
+        if self._lambda_inverse is None:
+            lam, d = self.bc.lambda_stack, self.bc.rep_dim
+            parts = batches(len(lam), d * d)
+            c = np.concatenate([self.dual.small.coords_many(lam[part]) for part in parts])
+            s = np.linalg.svd(c, compute_uv=False)
+            if s[-1] <= self.tol.rank_tol * s[0]:
+                raise InvariantError(f"lambda is singular on A (singular value {s[-1]:.3e})")
+            self._lambda_inverse = np.linalg.solve(c, self.expectation.big._flat)
+        n = self.expectation.big.ambient_dim
+        return (self.dual.small_coords_many(stack) @ self._lambda_inverse).reshape(-1, n, n)
+
     def definition_denominator(self, ci: CompatibleIntermediate) -> float:
-        """``|E1(z_P)|^(1/2)``."""
+        """``|E1(z_P)|^(1/2)``, with ``E1(z_P)`` read in A."""
         cache = self._cache(ci)
         if "den_definition" not in cache:
             z = self.jones_difference(ci)
-            cache["den_definition"] = math.sqrt(op_norm(self.dual.apply(z)))
+            cache["den_definition"] = math.sqrt(op_norm(self._dual_in_algebra(z[None])[0]))
         return cache["den_definition"]
 
     def quasibasis_denominator(self, ci: CompatibleIntermediate) -> float:
@@ -210,21 +262,22 @@ def _quasibasis_terms(ctx: AngleContext, p: CompatibleIntermediate, q: Compatibl
 
 
 def _definition_terms(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
-    """The numerator's matrix ``E1(z_P z_Q)``, the route's denominators and
-    ``z_P z_Q`` itself, whose norm decides the commuting square: as
+    """The numerator's matrix ``E1(z_P z_Q)`` read in A, the route's denominators
+    and ``Z_P* Z_Q``, whose norm ``|z_P z_Q|`` decides the commuting square: as
     ``e_P e = e = e e_Q``, ``z_P z_Q = e_P e_Q - e``."""
     denominators = (ctx.definition_denominator(p), ctx.definition_denominator(q))
     z_pq = ctx.jones_difference(p) @ ctx.jones_difference(q)
-    return ctx.dual.apply(z_pq), denominators, z_pq
+    residual = adjoint(ctx.jones_range(p)) @ ctx.jones_range(q)
+    return ctx._dual_in_algebra(z_pq[None])[0], denominators, residual
 
 
-def _op_norms_by_size(mats: list[np.ndarray]) -> list[float]:
-    """Operator norms of ``mats``, one ``op_norms`` call per matrix size."""
-    by_size: dict[int, list[np.ndarray]] = {}
+def _op_norms_by_shape(mats: list[np.ndarray]) -> list[float]:
+    """Operator norms of ``mats``, one ``op_norms`` call per matrix shape."""
+    by_shape: dict[tuple[int, ...], list[np.ndarray]] = {}
     for m in mats:
-        by_size.setdefault(m.shape[0], []).append(m)
-    norms = {size: iter(op_norms(np.asarray(same)).tolist()) for size, same in by_size.items()}
-    return [next(norms[m.shape[0]]) for m in mats]
+        by_shape.setdefault(m.shape, []).append(m)
+    norms = {shape: iter(op_norms(np.asarray(same)).tolist()) for shape, same in by_shape.items()}
+    return [next(norms[m.shape]) for m in mats]
 
 
 def _finish_report(
@@ -305,14 +358,14 @@ def interior_angle(
     # the definition route first: the basic construction it builds also builds
     # the module basis and index that the quasi-basis route reads
     if path in ("definition", "both"):
-        numerators["definition"], denominators["definition"], z_pq = _definition_terms(
+        numerators["definition"], denominators["definition"], overlap = _definition_terms(
             ctx, p, q
         )
-        residual.append(z_pq)
+        residual.append(overlap)
     if path in ("quasibasis", "both"):
         numerators["quasibasis"], denominators["quasibasis"] = _quasibasis_terms(ctx, p, q)
     names = [name for name in ("quasibasis", "definition") if name in numerators]
-    norms = _op_norms_by_size([numerators[name] for name in names] + residual)
+    norms = _op_norms_by_shape([numerators[name] for name in names] + residual)
     fragments = {name: (num, denominators[name]) for name, num in zip(names, norms)}
     commuting = (norms[-1] < tol.eq_tol, norms[-1]) if residual else None
     primary = "definition" if "definition" in fragments else "quasibasis"

@@ -60,8 +60,14 @@ class CondExpectation:
 
     def _apply_stack(self, stack: np.ndarray) -> np.ndarray:
         n = self.big.ambient_dim
-        flat = stack.reshape(len(stack), n * n)
-        return ((flat @ self._to_small_coords) @ self.small._flat).reshape(-1, n, n)
+        return (self.small_coords_many(stack) @ self.small._flat).reshape(-1, n, n)
+
+    def small_coords_many(self, stack: np.ndarray) -> np.ndarray:
+        """B-coordinates ``flat(x) K`` of ``E(x)`` for each ``x`` in a stack: the first
+        step of every apply, for callers that read ``E(x)`` in another picture."""
+        n = self.big.ambient_dim
+        flat = np.asarray(stack, dtype=complex).reshape(len(stack), n * n)
+        return flat @ self._to_small_coords
 
     @cached_property
     def _to_small_coords(self) -> np.ndarray:

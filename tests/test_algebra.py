@@ -5,7 +5,7 @@ import pytest
 
 import starangles as sa
 from starangles.errors import ArgumentError, ContainmentError
-from starangles.linalg import adjoint, op_norm
+from starangles.linalg import adjoint, op_norm, random_unitary
 
 from conftest import full_matrix_algebra, scalar_algebra
 
@@ -246,6 +246,20 @@ class TestRelativeCommutant:
     def test_full_matrix_algebra_has_trivial_center(self):
         m2 = full_matrix_algebra(2)
         assert sa.relative_commutant(m2, m2).dim == 1
+
+    def test_rounding_noise_is_not_rank(self):
+        # the scalars' basis comes from an SVD, so every commutator is rounding noise
+        rep = sa.group_algebra(sa.symmetric(3))
+        scalars = rep.subalgebra(sa.trivial(3))
+        assert sa.relative_commutant(rep.algebra, scalars).dim == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_center_of_a_conjugated_abelian_algebra(self, seed):
+        # every commutator of C[C4] rotated by a Haar unitary vanishes up to rounding
+        c4 = sa.group_algebra(sa.cyclic(4)).algebra
+        u = random_unitary(np.random.default_rng(seed), 4)
+        rotated = sa.StarAlgebra(4, u @ c4.basis @ adjoint(u))
+        assert sa.relative_commutant(rotated, rotated).dim == 4
 
     def test_ambient_mismatch(self):
         with pytest.raises(ArgumentError):

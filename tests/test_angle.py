@@ -349,40 +349,49 @@ class TestAngleCaches:
 
 
 class TestPairKernel:
-    """A warm pair takes its three norms (both numerators and the commuting
-    residual) from one LAPACK call per matrix size: ``n x n`` in M1 and
-    ``d x d`` in A."""
+    """A warm pair takes its three norms from one LAPACK call per matrix shape:
+    both numerators (``E1(z_P z_Q)`` read in A, and the quasi-basis route's)
+    at A's size ``n x n``, whatever the size of M1's space, and the commuting
+    residual ``Z_P* Z_Q`` at ``r_P x r_Q``, ``r = dim P - dim B``."""
 
     @staticmethod
-    def lapack_calls(monkeypatch) -> list[str]:
-        calls: list[str] = []
+    def lapack_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+        calls: list[tuple[str, tuple[int, ...]]] = []
         # np.linalg.norm(x, 2) calls the svd of numpy's internal linalg module
         modules = {np.linalg, sys.modules.get("numpy.linalg._linalg")} - {None}
         for name in ("svd", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
+                calls.append((_name, np.shape(args[0])))
                 return _original(*args, **kwargs)
 
             for module in modules:
                 monkeypatch.setattr(module, name, counting)
         return calls
 
-    def warm_pair_calls(self, monkeypatch, exp, p, q, ctx) -> list[str]:
+    def warm_pair_calls(self, monkeypatch, exp, p, q, ctx) -> list[tuple[str, tuple[int, ...]]]:
         cold = sa.interior_angle(exp, p, q, path="both", ctx=ctx)
         calls = self.lapack_calls(monkeypatch)
         assert sa.interior_angle(exp, p, q, path="both", ctx=ctx) == cold
         return calls
 
-    def test_one_call_when_sizes_agree(self, suite_s4_v, monkeypatch):
-        # C[G] acts on l^2(G), so M1 acts on a space of dim A = |G|
+    @staticmethod
+    def contract(exp, p, q) -> list[tuple[str, tuple[int, ...]]]:
+        # op_norms takes the Gram matrix on the smaller side of Z_P* Z_Q
+        n = exp.big.ambient_dim
+        gram = min(p.P.dim, q.P.dim) - exp.small.dim
+        return [("eigvalsh", (2, n, n)), ("eigvalsh", (1, gram, gram))]
+
+    def test_numerators_in_one_call_at_the_algebras_size(self, suite_s4_v, monkeypatch):
+        # C[G] acts on l^2(G), so M1 acts on a space of dim A = |G| = n
         exp, ctx = suite_s4_v.expectation, suite_s4_v.ctx
         assert ctx.bc.rep_dim == exp.big.ambient_dim
         p, q = suite_s4_v.compat[0], suite_s4_v.compat[-1]
-        assert len(self.warm_pair_calls(monkeypatch, exp, p, q, ctx)) == 1
+        calls = self.warm_pair_calls(monkeypatch, exp, p, q, ctx)
+        assert calls == self.contract(exp, p, q)
 
-    def test_two_calls_when_sizes_differ(self, suite_d4, monkeypatch):
+    def test_numerators_below_m1s_size(self, suite_d4, monkeypatch):
         big = sa.tensor_by_factor(suite_d4.algebra, 2)
         exp = sa.trace_preserving(
             sa.Inclusion(big=big, small=sa.tensor_by_factor(suite_d4.small, 2))
@@ -392,8 +401,49 @@ class TestPairKernel:
             for ci in (suite_d4.compat[0], suite_d4.compat[-1])
         )
         ctx = sa.AngleContext(exp)
-        assert ctx.bc.rep_dim != exp.big.ambient_dim
-        assert len(self.warm_pair_calls(monkeypatch, exp, p, q, ctx)) == 2
+        assert ctx.bc.rep_dim > exp.big.ambient_dim
+        calls = self.warm_pair_calls(monkeypatch, exp, p, q, ctx)
+        assert calls == self.contract(exp, p, q)
+
+
+class TestSmallestPicture:
+    """The definition route's norms, taken in A through lambda^{-1} and on the
+    ranges of the z's, against the same norms taken in lambda(A) and M1."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_range_rank_is_dim_p_minus_dim_b(self, seed):
+        exp, cis, ctx = conjugated_d4(seed)
+        for ci in cis:
+            assert ctx.jones_range(ci).shape[1] == ci.P.dim - exp.small.dim
+        upper = ctx.upper
+        for ci in (cis[0], cis[7]):  # one floor up: P1 over lambda(A)
+            floor = ctx.first_floor(ci)
+            z_range = upper.jones_range(floor)
+            assert z_range.shape[1] == floor.P.dim - ctx.dual.small.dim
+            assert op_norm(adjoint(z_range) @ z_range - np.eye(z_range.shape[1])) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_norms_equal_those_in_lambda_a(self, seed):
+        exp, cis, _ = conjugated_d4(seed)
+        ctx = sa.AngleContext(exp)
+        upper = ctx.upper
+
+        def oracle(context, x):  # |E1(x)| with E1(x) taken in lambda(A)
+            return op_norm(context.dual.apply(x))
+
+        for i, j in itertools.combinations_with_replacement(range(len(cis)), 2):
+            rep = sa.interior_angle(exp, cis[i], cis[j], path="definition", ctx=ctx)
+            z_p, z_q = ctx.jones_difference(cis[i]), ctx.jones_difference(cis[j])
+            assert abs(rep.numerator - oracle(ctx, z_p @ z_q)) < 1e-13
+            for den, z in zip(rep.denominators, (z_p, z_q)):
+                assert abs(den - math.sqrt(oracle(ctx, z))) < 1e-13
+            if {i, j} <= {0, 7}:  # one floor up, three pairs
+                up = sa.exterior_angle(exp, cis[i], cis[j], ctx=ctx, second_floor=True)
+                p1, q1 = ctx.first_floor(cis[i]), ctx.first_floor(cis[j])
+                z_p1, z_q1 = upper.jones_difference(p1), upper.jones_difference(q1)
+                assert abs(up.numerator - oracle(upper, z_p1 @ z_q1)) < 1e-13
+                for den, z in zip(up.denominators, (z_p1, z_q1)):
+                    assert abs(den - math.sqrt(oracle(upper, z))) < 1e-13
 
 
 class TestMembershipGuard:
@@ -408,6 +458,24 @@ class TestMembershipGuard:
             sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
         # the quasi-basis route does not read M1
         sa.interior_angle(exp, p, q, path="quasibasis", ctx=ctx)
+
+    def test_z_off_a_projection_rejected(self, suite_s3):
+        # 1.5 e_P - e lies in M1 but has eigenvalues 0.5 and 1.5, so it has no range isometry
+        exp, p, q = suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[-1]
+        ctx = sa.AngleContext(exp)
+        ctx._cache(p)["jones"] = 1.5 * ctx.jones_projection(p)
+        with pytest.raises(InvariantError, match="not a projection"):
+            sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
+
+    def test_singular_lambda_rejected(self, suite_s3):
+        # E1 is read in A through lambda^{-1}, which a rank-deficient lambda(A) basis lacks
+        exp, p, q = suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[-1]
+        ctx = sa.AngleContext(exp)
+        ctx.dual  # built on the true lambda
+        stack = ctx.bc.lambda_stack
+        ctx.bc.lambda_stack = np.concatenate([stack[:1], stack[:1], stack[2:]])
+        with pytest.raises(InvariantError, match="lambda is singular"):
+            sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
 
 
 class TestAngleMatrix:
