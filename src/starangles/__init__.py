@@ -26,12 +26,7 @@ from .algebra import (
     same_span,
     tensor_by_factor,
 )
-from .basic import (
-    BasicConstruction,
-    build,
-    dual_expectation,
-    intermediate_jones_projection,
-)
+from .basic import BasicConstruction, build, dual_expectation
 from .errors import (
     ArgumentError,
     ConstructionError,

@@ -155,6 +155,8 @@ class StarAlgebra:
 
 def same_span(a: StarAlgebra, b: StarAlgebra, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether two algebras in the same ambient coincide as linear spans."""
+    if a is b:
+        return True
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     return a._max_span_residual(b.basis) < tol.eq_tol

@@ -85,11 +85,14 @@ class AngleContext:
     (``R = C^{-1} A_flat`` for ``C`` the lambda(A)-coordinates of lambda of
     A's basis), which reads ``E1`` in A. The module basis and index are
     built once: by the basic construction when it is built first, as when
-    both routes run, or alone for the quasi-basis route. Per intermediate,
+    both routes run, or alone for the quasi-basis route. An intermediate is
+    admitted once, when first seen on either route or floor: it must have
+    been built for this context's inclusion. Per intermediate,
     each computed on first use: the restricted module basis and index
-    (quasi-basis route), the Jones projection, ``z_P = e_P - e`` with the
+    (quasi-basis route), the Jones projection (``bc.jones_projection``, the
+    map that gives ``e``), ``z_P = e_P - e`` with the
     isometry ``Z_P`` onto its range, the first-floor algebra ``P1``
-    (``basic.first_floor_algebra``, the pair span that builds M1) with its
+    (``basic.floor_algebra``, the builder and checks of M1) with its
     compatible expectation, and the two routes' denominators,
     ``|E1(z_P)|^(1/2)`` (definition, ``E1`` read in A) and
     ``|ind^{-1}(ind_P - 1)|^(1/2)`` (quasi-basis). A pair then costs one
@@ -145,7 +148,19 @@ class AngleContext:
         return self._dual
 
     def _cache(self, ci: CompatibleIntermediate) -> dict:
-        return self._per_intermediate.setdefault(id(ci), {"ci": ci})
+        """The intermediate's cache, made when it is first seen and admitted:
+        its expectation maps this context's A onto it, and its restriction
+        maps it onto this context's B."""
+        cache = self._per_intermediate.get(id(ci))
+        if cache is None:
+            exp, tol = self.expectation, self.tol
+            if not (
+                same_span(ci.F.big, exp.big, tol)
+                and same_span(ci.E_restricted.small, exp.small, tol)
+            ):
+                raise ArgumentError("intermediate was built for a different inclusion")
+            cache = self._per_intermediate[id(ci)] = {"ci": ci}
+        return cache
 
     def restricted_basis(self, ci: CompatibleIntermediate) -> ModuleBasis:
         cache = self._cache(ci)
@@ -160,9 +175,15 @@ class AngleContext:
         return cache["index"]
 
     def jones_projection(self, ci: CompatibleIntermediate) -> np.ndarray:
+        """``e_P``, the Jones projection of ``F_P``, checked to absorb ``e``:
+        ``e_P e = e = e e_P``."""
         cache = self._cache(ci)
         if "jones" not in cache:
-            cache["jones"] = basic.intermediate_jones_projection(self.bc, ci, self.tol)
+            e, e_p = self.bc.e_proj, self.bc.jones_projection(ci.F, self.tol)
+            absorb = max(op_norm(e_p @ e - e), op_norm(e @ e_p - e))
+            if absorb > self.tol.eq_tol:
+                raise InvariantError(f"e_P e = e = e e_P fails ({absorb:.3e})")
+            cache["jones"] = e_p
         return cache["jones"]
 
     def jones_difference(self, ci: CompatibleIntermediate) -> np.ndarray:
@@ -235,20 +256,30 @@ class AngleContext:
         return self._upper
 
     def first_floor(self, ci: CompatibleIntermediate) -> CompatibleIntermediate:
-        """``P1 = <lambda(A), e_P>`` from the pair span, made compatible with the dual."""
+        """``P1 = <lambda(A), e_P>``, built and checked as M1 is, made compatible
+        with the dual."""
         cache = self._cache(ci)
         if "floor_one" not in cache:
-            e_p = self.jones_projection(ci)
-            algebra_one = basic.first_floor_algebra(self.bc, ci, e_p, self.tol)
+            module = orthonormal_basis(ci.F, self.tol)
+            algebra_one, *_ = basic.floor_algebra(
+                self.bc, ci.F, module, self.jones_projection(ci), self.tol
+            )
             cache["floor_one"] = make_compatible(self.dual, algebra_one, self.tol)
         return cache["floor_one"]
 
 
-def _check_nondegenerate(exp: CondExpectation, ci: CompatibleIntermediate, tol: Tolerances):
-    if same_span(ci.P, exp.small, tol):
+def _pair_context(exp: CondExpectation, p, q, tol: Tolerances, ctx: AngleContext | None):
+    """``ctx``, checked to be built for ``exp``, or a new context; the angle
+    is undefined when either intermediate equals the small algebra."""
+    if ctx is None:
+        ctx = AngleContext(exp, tol)
+    elif ctx.expectation is not exp:
+        raise ArgumentError("context was built for a different expectation")
+    if same_span(p.P, exp.small, tol) or same_span(q.P, exp.small, tol):
         raise DegenerateDenominatorError(
             "angle is undefined when the intermediate equals the small algebra"
         )
+    return ctx
 
 
 def _quasibasis_terms(ctx: AngleContext, p: CompatibleIntermediate, q: CompatibleIntermediate):
@@ -345,12 +376,7 @@ def interior_angle(
     """
     if path not in ("definition", "quasibasis", "both"):
         raise ArgumentError(f"unknown path {path!r}")
-    if ctx is None:
-        ctx = AngleContext(exp, tol)
-    elif ctx.expectation is not exp:
-        raise ArgumentError("context was built for a different expectation")
-    _check_nondegenerate(exp, p, tol)
-    _check_nondegenerate(exp, q, tol)
+    ctx = _pair_context(exp, p, q, tol, ctx)
 
     numerators: dict[str, np.ndarray] = {}
     denominators: dict[str, tuple[float, float]] = {}
@@ -394,10 +420,7 @@ def exterior_angle(
     basic construction needed); with ``second_floor=True`` the definition
     route on an explicitly built second floor cross-validates the value.
     """
-    if ctx is None:
-        ctx = AngleContext(exp, tol)
-    _check_nondegenerate(exp, p, tol)
-    _check_nondegenerate(exp, q, tol)
+    ctx = _pair_context(exp, p, q, tol, ctx)
     floor_one = {}
     for name, ci in (("P", p), ("Q", q)):
         try:

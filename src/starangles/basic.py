@@ -2,28 +2,30 @@
 
 The big algebra, viewed as a ``d``-dimensional complex coordinate space
 (``d = dim A``) under the inner product ``<x, y> = tr(E(x* y)) / n``,
-carries left multiplication ``lambda(a)`` and the Jones projection ``e``
-implementing the expectation: each is the image ``G^{1/2} X G^{-1/2}`` of
-the coordinate matrix ``X`` of a linear map on A (left multiplication, E),
-for the Gram matrix ``G`` of the inner product on A's basis; so is the
-Jones projection ``e_P`` of a compatible intermediate, from its
-expectation ``F_P``, which preserves the inner product. Products are
-taken only on A's basis, once per construction: lambda is linear, so
-lambda of any element is its A-coordinates times that stack. The basic
-construction ``M1 = <lambda(A), e>`` is realized as the linear span of
-``lambda(m_j b) e lambda(m_k)*`` over an orthonormal module basis
-``{m_j}`` (``E(m_j* m_k) = delta_jk p_j``) and a basis of B. Since
-``e lambda(a) e = lambda(E(a)) e``, the pieces for different pairs
+carries left multiplication ``lambda(a)`` and Jones projections: each is
+the image ``G^{1/2} X G^{-1/2}`` of the coordinate matrix ``X`` of a linear
+map on A, for the Gram matrix ``G`` of the inner product on A's basis.
+``jones_projection`` is that map for an expectation, ``e`` for E and
+``e_P`` for the compatible expectation ``F_P`` of an intermediate. Products
+are taken only on A's basis, once per construction: lambda is linear, so
+lambda of any element is its A-coordinates times that stack.
+
+Every floor algebra ``<lambda(A), e_F>``, for a state-preserving
+expectation F of A onto S, is built by ``floor_algebra``: M1 for E and B,
+a first-floor algebra ``P1`` for ``F_P`` and P, the basic construction of
+P in A (Watatani, 1990). It is the linear span of
+``lambda(m_j s) e_F lambda(m_k)*`` over an orthonormal module basis
+``{m_j}`` of F (``F(m_j* m_k) = delta_jk p_j``) and a basis of S. Since
+``e_F lambda(a) e_F = lambda(F(a)) e_F``, the pieces for different pairs
 ``(j, k)`` are mutually orthogonal and the pair ``(j, k)`` spans a copy of
-``p_j B p_k``, so ``M1 = sum_{j,k} p_j B p_k`` as an orthogonal direct sum
-(Watatani, 1990). One small thin SVD per pair gives M1's orthonormal basis
-and the dual expectation's value table on it: the minimum-norm extension
-of ``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not
-kept; the dual is the ``CondExpectation`` with lambda of that table as its
+``p_j S p_k``, an orthogonal direct sum. One small thin SVD per pair gives
+the algebra's orthonormal basis, after the same four identities are
+checked for every floor. For M1 the same factors give the dual
+expectation's value table on that basis: the minimum-norm extension of
+``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not kept;
+the dual is the ``CondExpectation`` with lambda of that table as its
 values, so one application of ``E1`` goes through lambda(A)'s coordinates
-like every other expectation of the tower. A first-floor algebra
-``P1 = <lambda(A), e_P>``, the basic construction of P in A, is the same
-pair span for ``F_P``, P and ``e_P``, without a table.
+like every other expectation of the tower.
 """
 
 from __future__ import annotations
@@ -33,12 +35,8 @@ import numpy as np
 from . import algebra as alg
 from . import linalg
 from .algebra import Inclusion, StarAlgebra, commutant_within
-from .errors import ArgumentError, ConstructionError, InvariantError
-from .expectation import (
-    CompatibleIntermediate,
-    CondExpectation,
-    _verify_expectation_axioms,
-)
+from .errors import ConstructionError
+from .expectation import CondExpectation, _verify_expectation_axioms
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
@@ -61,7 +59,7 @@ class BasicConstruction:
         self._gram_sqrt = gram_sqrt
         self._gram_inv_sqrt = gram_inv_sqrt
         self.lambda_stack = self._lambda_of_basis()
-        self.e_proj = self._on_module(source.coefficient_matrix())
+        self.e_proj: np.ndarray | None = None
         self.lambda_algebra: StarAlgebra | None = None
         self.m1: StarAlgebra | None = None
         # values of the dual expectation on M1's basis, inside the big algebra
@@ -78,6 +76,25 @@ class BasicConstruction:
     def _on_module(self, x: np.ndarray) -> np.ndarray:
         """``G^{1/2} x G^{-1/2}``: the operator of the map on A with coordinate matrix ``x``."""
         return self._gram_sqrt @ x @ self._gram_inv_sqrt
+
+    def jones_projection(
+        self, f: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES
+    ) -> np.ndarray:
+        """Jones projection ``G^{1/2} [F] G^{-1/2}`` of an expectation F on A,
+        checked to be a projection.
+
+        ``[F] = coords_A(F(a_s))^T`` is F's matrix on the construction's basis
+        of A, whatever basis F's own table is indexed by. ``e`` is this map
+        for E, and ``e_P`` for the compatible expectation ``F_P``; for a
+        state-preserving F it equals ``sum_j lambda(mu_j) e lambda(mu_j)*``
+        for every quasi-basis ``{mu_j}`` of the restriction of E to P.
+        """
+        a = self.source.big
+        proj = self._on_module(a.coords_many(f.apply_many(a.basis)).T)
+        err = max(op_norm(proj @ proj - proj), op_norm(adjoint(proj) - proj))
+        if err > tol.eq_tol:
+            raise ConstructionError("jones projection idempotency", err)
+        return proj
 
     def lambda_many(self, stack: np.ndarray) -> np.ndarray:
         """Left multiplication by each matrix in a stack: ``coords_A(stack) . lambda_stack``.
@@ -104,16 +121,9 @@ class BasicConstruction:
 def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicConstruction:
     """Build the reduced basic construction and verify its identities.
 
-    M1 is the span of ``lambda(m_j b) e lambda(m_k)*`` over the module
-    basis ``{m_j}`` and a basis of B, an orthogonal sum of one block per
-    pair ``(j, k)`` (``_pair_blocks``). One batched thin SVD over the blocks
-    (``_block_svd``, shared with ``first_floor_algebra``) gives M1's
-    orthonormal basis, and ``dual_table``, the dual expectation's values on
-    that basis, is read off the same factors; the family is then dropped.
-    ``lambda`` of the module basis and of B's basis is computed once and
-    shared by the checks and the family. The span lies inside ``<lambda(A), e>`` by construction; the
-    build checks that it contains every ``lambda(a)`` and ``e``, so the two
-    algebras are equal.
+    ``e`` is ``jones_projection(E)``, and M1 is ``floor_algebra`` for E, its
+    module basis and ``e``. ``dual_table``, the dual expectation's values on
+    M1's basis, is read off the block factors that built M1's basis.
     """
     a, b = exp.big, exp.small
     d = a.dim
@@ -130,53 +140,69 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     gram_inv_sqrt = linalg.psd_calculus(gram, "pinv_sqrt", tol)
 
     bc = BasicConstruction(exp, module, index, gram_sqrt, gram_inv_sqrt)
-    e_proj = bc.e_proj
-
-    err = max(op_norm(e_proj @ e_proj - e_proj), op_norm(adjoint(e_proj) - e_proj))
-    if err > tol.eq_tol:
-        raise ConstructionError("jones projection idempotency", err)
-
+    bc.e_proj = bc.jones_projection(exp, tol)
     bc.lambda_algebra = alg.from_span(d, list(bc.lambda_stack), tol)
-
-    fix = max(
-        float(np.linalg.norm(e_proj @ bc.phi(x) - bc.phi(x))) for x in b.basis
-    )
-    if fix > tol.eq_tol:
-        raise ConstructionError("e fixes the small algebra's coordinates", fix)
-
-    compress = max_op_norm(
-        e_proj @ bc.lambda_stack @ e_proj - bc.lambda_many(exp.values) @ e_proj, tol.eq_tol
-    )
-    if compress > tol.eq_tol:
-        raise ConstructionError("e lambda(a) e = lambda(E(a)) e", compress)
-
-    lam_m = bc.lambda_many(module.elements)
-    lam_b = bc.lambda_many(b.basis)
-    commutant = commutant_within(bc.lambda_algebra, [e_proj], tol)
-    containment = commutant._max_span_residual(lam_b)
-    if commutant.dim != b.dim or containment > tol.eq_tol:
-        raise ConstructionError(
-            "relative commutant of e inside lambda(A) equals lambda(B)",
-            max(containment, float(abs(commutant.dim - b.dim))),
-        )
-
-    cover = (lam_m @ e_proj @ np.conj(lam_m.transpose(0, 2, 1))).sum(axis=0)
-    cover_err = op_norm(cover - np.eye(d))
-    if cover_err > tol.eq_tol:
-        raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
-
-    # unbound, so the family is freed before M1's closure checks run
-    m1_basis, u, s, keep = _block_svd(_pair_blocks(lam_m, lam_b, e_proj), tol)
+    bc.m1, u, s, keep = floor_algebra(bc, exp, module, bc.e_proj, tol)
     m, m_h = module.elements, np.conj(module.elements.transpose(0, 2, 1))
     pre = bc.index.inverse() @ m[:, None] @ b.basis[None]
     values = (pre[:, None] @ m_h[None, :, None]).reshape(-1, *b.basis.shape)
     bc.dual_table = _minimum_norm_table(u, s, keep, values, d, tol)
-    bc.m1 = StarAlgebra(d, m1_basis, tol)
-    generators = np.concatenate([bc.lambda_stack, e_proj[None]])
-    contains = bc.m1._max_span_residual(generators)
+    return bc
+
+
+def floor_algebra(
+    bc: BasicConstruction,
+    f: CondExpectation,
+    module: ModuleBasis,
+    proj: np.ndarray,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+):
+    """``<lambda(A), proj>`` for a state-preserving expectation F of A onto S,
+    an orthonormal module basis ``{m_j}`` of F and ``proj``, F's Jones
+    projection: M1 for E, B and ``e``; ``P1`` for ``F_P``, P and ``e_P``.
+
+    Four identities are checked first, under M1's names (``e`` for ``proj``,
+    B for S): ``proj`` fixes S's coordinates,
+    ``proj lambda(a) proj = lambda(F(a)) proj``, the relative commutant of
+    ``proj`` in lambda(A) is lambda(S), and
+    ``sum_j lambda(m_j) proj lambda(m_j)* = 1``. The pair blocks
+    (``_pair_blocks``) and their batched thin SVD (``_block_svd``) give the
+    algebra's orthonormal basis; the span lies inside ``<lambda(A), proj>``
+    and is checked to contain every ``lambda(a)`` and ``proj``, so the two
+    are equal. Returns the algebra and the block factors ``u, s, keep``.
+    """
+    a, small = bc.source.big, f.small
+    fix = max(float(np.linalg.norm(proj @ bc.phi(x) - bc.phi(x))) for x in small.basis)
+    if fix > tol.eq_tol:
+        raise ConstructionError("e fixes the small algebra's coordinates", fix)
+
+    lam_f = bc.lambda_many(f.apply_many(a.basis))
+    compress = max_op_norm(proj @ bc.lambda_stack @ proj - lam_f @ proj, tol.eq_tol)
+    if compress > tol.eq_tol:
+        raise ConstructionError("e lambda(a) e = lambda(E(a)) e", compress)
+
+    lam_m = bc.lambda_many(module.elements)
+    lam_s = bc.lambda_many(small.basis)
+    commutant = commutant_within(bc.lambda_algebra, [proj], tol)
+    containment = commutant._max_span_residual(lam_s)
+    if commutant.dim != small.dim or containment > tol.eq_tol:
+        raise ConstructionError(
+            "relative commutant of e inside lambda(A) equals lambda(B)",
+            max(containment, float(abs(commutant.dim - small.dim))),
+        )
+
+    cover = (lam_m @ proj @ np.conj(lam_m.transpose(0, 2, 1))).sum(axis=0)
+    cover_err = op_norm(cover - np.eye(bc.rep_dim))
+    if cover_err > tol.eq_tol:
+        raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
+
+    # unbound, so the family is freed before the algebra's closure checks run
+    basis, u, s, keep = _block_svd(_pair_blocks(lam_m, lam_s, proj), tol)
+    algebra = StarAlgebra(bc.rep_dim, basis, tol)
+    contains = algebra._max_span_residual(np.concatenate([bc.lambda_stack, proj[None]]))
     if contains > tol.eq_tol:
         raise ConstructionError("M1 contains lambda(A) and e", contains)
-    return bc
+    return algebra, u, s, keep
 
 
 def _pair_blocks(lam_m: np.ndarray, lam_s: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -246,61 +272,3 @@ def dual_expectation(
     )
     _verify_expectation_axioms(dual, tol)
     return dual
-
-
-def intermediate_jones_projection(
-    bc: BasicConstruction,
-    ci: CompatibleIntermediate,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Jones projection of a compatible intermediate inside M1.
-
-    ``e_P = G^{1/2} [F_P] G^{-1/2}`` as ``e`` is built from ``[E]``, with
-    ``[F_P]`` on the construction's basis of A; it equals
-    ``sum_j lambda(mu_j) e lambda(mu_j)*`` for every quasi-basis ``{mu_j}``
-    of the restricted expectation.
-    """
-    a = bc.source.big
-    if not (
-        alg.same_span(ci.F.inclusion.big, a, tol)
-        and alg.same_span(ci.E_restricted.inclusion.small, bc.source.small, tol)
-    ):
-        raise ArgumentError("intermediate was built for a different inclusion")
-    e_p = bc._on_module(a.coords_many(ci.F.apply_many(a.basis)).T)
-    proj_err = max(op_norm(e_p @ e_p - e_p), op_norm(adjoint(e_p) - e_p))
-    if proj_err > tol.eq_tol:
-        raise InvariantError(
-            f"intermediate projection fails to be a projection ({proj_err:.3e})"
-        )
-    absorb = max(
-        op_norm(e_p @ bc.e_proj - bc.e_proj), op_norm(bc.e_proj @ e_p - bc.e_proj)
-    )
-    if absorb > tol.eq_tol:
-        raise InvariantError(f"e_P e = e = e e_P fails ({absorb:.3e})")
-    return e_p
-
-
-def first_floor_algebra(
-    bc: BasicConstruction,
-    ci: CompatibleIntermediate,
-    e_p: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> StarAlgebra:
-    """``P1 = <lambda(A), e_P>``, the basic construction of P in A, inside M1.
-
-    The pair span of ``lambda(mu_j p) e_P lambda(mu_k)*`` over a module basis
-    ``{mu_j}`` of ``F_P`` and P's basis, as for M1: ``F_P`` preserves the
-    state, so ``e_P lambda(a) e_P = lambda(F_P(a)) e_P``. Raises first unless
-    the span contains every ``lambda(a)`` and ``e_p``, so that a wrong
-    ``e_p`` is named as such.
-    """
-    d = bc.rep_dim
-    lam_mu = bc.lambda_many(orthonormal_basis(ci.F, tol).elements)
-    basis, *_ = _block_svd(_pair_blocks(lam_mu, bc.lambda_many(ci.P.basis), e_p), tol)
-    rows = basis.reshape(len(basis), d * d)
-    gens = np.concatenate([bc.lambda_stack, e_p[None]]).reshape(-1, d * d)
-    outside = gens - np.conj(np.conj(gens) @ rows.T) @ rows / d
-    contains = float(np.linalg.norm(outside, axis=1).max() / np.sqrt(d))
-    if contains > tol.eq_tol:
-        raise ConstructionError("P1 contains lambda(A) and e_P", contains)
-    return StarAlgebra(d, basis, tol)

@@ -69,13 +69,31 @@ def _parse_matrix(raw, dim: int, label: str) -> np.ndarray:
     return mat
 
 
+def _cycle_list(spec: dict, key: str, degree: int) -> list[groups.Perm]:
+    raw = spec.get(key, [])
+    if not isinstance(raw, list):
+        raise ValidationError(f"group.{key} must be a list of cycle strings")
+    return [groups.parse_cycles(text, degree) for text in raw]
+
+
+def _number(options: dict, key: str, default: float) -> float:
+    value = options.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"options.{key} must be a finite number")
+    return float(value)
+
+
+def _count(options: dict, key: str, default: int, least: int) -> int:
+    value = options.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"options.{key} must be an integer >= {least}")
+    return value
+
+
 def _parse_subgroup(spec: dict, key: str, big: groups.PermGroup) -> groups.PermGroup | None:
-    gens_raw = spec.get(key)
-    if gens_raw is None:
+    if spec.get(key) is None:
         return None
-    degree = big.degree
-    gens = [groups.parse_cycles(text, degree) for text in gens_raw]
-    sub = groups.closure(degree, gens)
+    sub = groups.closure(big.degree, _cycle_list(spec, key, big.degree))
     if not sub.is_subgroup_of(big):
         raise ValidationError(f"{key}: not contained in the scenario group")
     return sub
@@ -115,17 +133,17 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
 
-    options = dict(raw.get("options", {}))
-    options.update(overrides or {})
+    options = raw.get("options", {})
+    if not isinstance(options, dict):
+        raise ValidationError("options must be a JSON object")
+    options = {**options, **(overrides or {})}
     tolerances = Tolerances(
-        eq_tol=float(options.get("eq_tol", 1e-9)),
-        rank_tol=float(options.get("rank_tol", 1e-10)),
-        angle_tol=float(options.get("angle_tol", 1e-8)),
+        eq_tol=_number(options, "eq_tol", 1e-9),
+        rank_tol=_number(options, "rank_tol", 1e-10),
+        angle_tol=_number(options, "angle_tol", 1e-8),
     )
-    seed = int(options.get("seed", 0))
-    tensor_factor = int(options.get("tensor_factor", 1))
-    if tensor_factor < 1:
-        raise ValidationError("tensor_factor must be >= 1")
+    seed = _count(options, "seed", 0, least=0)
+    tensor_factor = _count(options, "tensor_factor", 1, least=1)
 
     scenario = Scenario(
         kind=kind,
@@ -142,8 +160,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
         degree = spec.get("degree")
         if not isinstance(degree, int) or degree < 1:
             raise ValidationError("group.degree must be a positive integer")
-        gens = [groups.parse_cycles(t, degree) for t in spec.get("generators", [])]
-        scenario.group = groups.closure(degree, gens)
+        scenario.group = groups.closure(degree, _cycle_list(spec, "generators", degree))
         scenario.subgroup_h = _parse_subgroup(spec, "subgroup_h", scenario.group)
         scenario.subgroup_k = _parse_subgroup(spec, "subgroup_k", scenario.group)
         scenario.subgroup_l = _parse_subgroup(spec, "subgroup_l", scenario.group)
@@ -388,7 +405,7 @@ def _cmd_index(bundle: Bundle) -> dict:
         "index_norm": wi.norm,
         "index_matrix": None if wi.scalar is not None else _matrix_entry_list(wi.value),
         "reconstruction_residual": pimsner.verify_quasi_basis(
-            bundle.expectation, basis.elements, tol, samples=16, seed=bundle.scenario.seed
+            bundle.expectation, basis.elements, tol
         ),
     }
     if bundle.oracle_groups is not None and bundle.oracle_groups[1] is not None:
@@ -403,9 +420,7 @@ def _cmd_index(bundle: Bundle) -> dict:
 def _cmd_quasi_basis(bundle: Bundle) -> dict:
     tol = bundle.scenario.tolerances
     basis = pimsner.orthonormal_basis(bundle.expectation, tol)
-    residual = pimsner.verify_quasi_basis(
-        bundle.expectation, basis.elements, tol, samples=100, seed=bundle.scenario.seed
-    )
+    residual = pimsner.verify_quasi_basis(bundle.expectation, basis.elements, tol)
     supports = [float(np.trace(p).real) for p in basis.support_projections]
     return {
         "size": len(basis),
@@ -445,9 +460,7 @@ def _cmd_verify(bundle: Bundle) -> dict:
     )
     basis = pimsner.orthonormal_basis(bundle.expectation, tol)
     wi = pimsner.watatani_index(basis, tol)
-    residual = pimsner.verify_quasi_basis(
-        bundle.expectation, basis.elements, tol, samples=32, seed=bundle.scenario.seed
-    )
+    residual = pimsner.verify_quasi_basis(bundle.expectation, basis.elements, tol)
     estimate = ind_p_estimate(
         bundle.expectation, trials=4, seed=bundle.scenario.seed, steps=150, tol=tol
     )

@@ -79,10 +79,6 @@ class CondExpectation:
         # conjugating the small product keeps no conjugate copy of A's basis
         return np.conj(a._flat.T @ np.conj(w)) / a.ambient_dim
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Matrix of ``E`` on the big algebra's coordinates, column-major."""
-        return self.big.coords_many(self.values).T
-
     def state_gram(self, rows: StarAlgebra, cols: StarAlgebra) -> np.ndarray:
         """Gram matrix ``G[s, t] = phi(r_s* c_t)`` of the induced state.
 

@@ -87,6 +87,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
 
     ``"()"`` and the empty string denote the identity.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"cycle notation must be a string, got {text!r}")
     cycles: list[list[int]] = []
     current: list[int] | None = None
     pos = 0

@@ -210,14 +210,3 @@ def orthonormal_span(
         return np.zeros((0, n, n), dtype=complex)
     rank = int(np.sum(s > tol.rank_tol * s[0]))
     return (vh[:rank] * np.sqrt(n)).reshape(rank, n, n)
-
-
-def random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussian ``n x n`` matrix."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a complex Gaussian."""
-    q, r = np.linalg.qr(random_matrix(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -15,6 +15,17 @@ settings.register_profile(
 settings.load_profile("starangles")
 
 
+def random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Standard complex Gaussian ``n x n`` matrix."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-ish random unitary from the QR of a complex Gaussian."""
+    q, r = np.linalg.qr(random_matrix(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 @dataclass
 class GroupSuite:
     """A group-algebra inclusion C[H] in C[G] with its proper intermediates."""

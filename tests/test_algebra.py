@@ -5,9 +5,9 @@ import pytest
 
 import starangles as sa
 from starangles.errors import ArgumentError, ContainmentError
-from starangles.linalg import adjoint, op_norm, random_unitary
+from starangles.linalg import adjoint, op_norm
 
-from conftest import full_matrix_algebra, scalar_algebra
+from conftest import full_matrix_algebra, random_matrix, random_unitary, scalar_algebra
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -38,8 +38,6 @@ class TestFromGenerators:
 
     def test_closure_matches_random_unitary_conjugate(self):
         rng = np.random.default_rng(5)
-        from starangles.linalg import random_unitary
-
         u = random_unitary(rng, 3)
         gen = u @ np.diag([1.0, 1.0, -1.0]).astype(complex) @ adjoint(u)
         alg = sa.from_generators(3, [gen])
@@ -274,7 +272,7 @@ class TestInclusion:
     def test_containment_at_the_callers_eq_tol(self, suite_d4):
         # C[<r>] in C[D4] rotated by exp(i 1e-8 h) lies about 1e-8 outside C[D4]
         rotation = sa.closure(4, [sa.parse_cycles("(1 2 3 4)", 4)])
-        h = sa.linalg.random_matrix(np.random.default_rng(8), 8)
+        h = random_matrix(np.random.default_rng(8), 8)
         w, v = np.linalg.eigh(h + adjoint(h))
         u = (v * np.exp(1e-8j * w)) @ adjoint(v)
         p = suite_d4.rep.subalgebra(rotation)

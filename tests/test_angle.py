@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import starangles as sa
-from starangles.errors import DegenerateDenominatorError, InvariantError
-from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_unitary
+from starangles.errors import ArgumentError, DegenerateDenominatorError, InvariantError
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
+
+from conftest import random_unitary
 
 
 class TestInteriorAngle:
@@ -476,6 +478,25 @@ class TestMembershipGuard:
         ctx.bc.lambda_stack = np.concatenate([stack[:1], stack[:1], stack[2:]])
         with pytest.raises(InvariantError, match="lambda is singular"):
             sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
+
+
+class TestAdmission:
+    """A context admits an intermediate only for its own inclusion and
+    expectation, on either route and floor."""
+
+    def test_foreign_intermediate_rejected_on_the_quasibasis_route(self, suite_d4, suite_d4_r2):
+        # built over C[<r^2>] in C[D4]: the same A, another B
+        exp = suite_d4.expectation
+        p, q = suite_d4_r2.compat[:2]
+        with pytest.raises(ArgumentError, match="different inclusion"):
+            sa.interior_angle(exp, p, q, path="quasibasis", ctx=sa.AngleContext(exp))
+
+    def test_exterior_angle_rejects_another_expectations_context(self, suite_d4):
+        exp = suite_d4.expectation
+        p, q = suite_d4.compat[:2]
+        ctx = sa.AngleContext(sa.trace_preserving(exp.inclusion))
+        with pytest.raises(ArgumentError, match="different expectation"):
+            sa.exterior_angle(exp, p, q, ctx=ctx)
 
 
 class TestAngleMatrix:

@@ -4,9 +4,15 @@ import pytest
 import starangles as sa
 from starangles import basic
 from starangles.errors import ArgumentError, ConstructionError
-from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm, random_matrix, random_unitary
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
-from conftest import full_matrix_algebra, permuted, scalar_algebra
+from conftest import (
+    full_matrix_algebra,
+    permuted,
+    random_matrix,
+    random_unitary,
+    scalar_algebra,
+)
 
 
 def lam(bc, x):
@@ -317,7 +323,7 @@ class TestPairFactorization:
 def assert_matches_quasi_basis_sums(bc, ci):
     """``e_P`` equals ``sum_j lambda(mu_j) e lambda(mu_j)*`` for restricted
     module bases built in forward and in reversed basis order."""
-    e_p = basic.intermediate_jones_projection(bc, ci)
+    e_p = bc.jones_projection(ci.F)
     for order in (np.arange(ci.P.dim), np.arange(ci.P.dim)[::-1]):
         restricted = permuted(ci.E_restricted, order)
         lam = bc.lambda_many(sa.orthonormal_basis(restricted).elements)
@@ -329,20 +335,20 @@ class TestIntermediateJonesProjection:
     def test_small_algebra_returns_e(self, suite_s3):
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.small)
         bc = suite_s3.ctx.bc
-        e_p = basic.intermediate_jones_projection(bc, ci)
+        e_p = bc.jones_projection(ci.F)
         assert op_norm(e_p - bc.e_proj) < 1e-10
 
     def test_big_algebra_returns_identity(self, suite_s3):
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.algebra)
         bc = suite_s3.ctx.bc
-        e_p = basic.intermediate_jones_projection(bc, ci)
+        e_p = bc.jones_projection(ci.F)
         assert op_norm(e_p - np.eye(bc.rep_dim)) < 1e-10
 
     def test_group_intermediate_acts_as_coefficient_restriction(self, suite_s3):
         k = sa.closure(3, [sa.parse_cycles("(1 2 3)", 3)])
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.rep.subalgebra(k))
         bc = suite_s3.ctx.bc
-        e_p = basic.intermediate_jones_projection(bc, ci)
+        e_p = bc.jones_projection(ci.F)
         for g in suite_s3.group.elements:
             vec = bc.phi(suite_s3.rep.unitary(g))
             expected = vec if g in k else np.zeros_like(vec)
@@ -386,19 +392,24 @@ class TestIntermediateJonesProjection:
         exp = sa.trace_preserving(sa.Inclusion(big=rotated, small=suite_d4.small))
         bc = suite_d4.ctx.bc
         for ci in suite_d4.compat:
-            e_p = basic.intermediate_jones_projection(bc, sa.make_compatible(exp, ci.P))
-            assert op_norm(e_p - basic.intermediate_jones_projection(bc, ci)) < 1e-10
+            e_p = bc.jones_projection(sa.make_compatible(exp, ci.P).F)
+            assert op_norm(e_p - bc.jones_projection(ci.F)) < 1e-10
 
     def test_foreign_intermediate_rejected(self, suite_s3, suite_d4):
-        bc = suite_s3.ctx.bc
         with pytest.raises(ArgumentError):
-            basic.intermediate_jones_projection(bc, suite_d4.compat[0])
+            suite_s3.ctx.jones_projection(suite_d4.compat[0])
+
+
+def first_floor(bc, ci):
+    """``P1 = <lambda(A), e_P>`` from the floor builder, as ``AngleContext`` builds it."""
+    e_p = bc.jones_projection(ci.F)
+    return basic.floor_algebra(bc, ci.F, sa.orthonormal_basis(ci.F), e_p)[0]
 
 
 def assert_first_floor_is_generated(bc, ci):
     """The pair-span ``P1`` equals the closure of ``lambda(A)`` and ``e_P``."""
-    e_p = basic.intermediate_jones_projection(bc, ci)
-    p1 = basic.first_floor_algebra(bc, ci, e_p)
+    p1 = first_floor(bc, ci)
+    e_p = bc.jones_projection(ci.F)
     generated = sa.from_generators(bc.rep_dim, list(bc.lambda_stack) + [e_p])
     assert p1.dim == generated.dim
     assert sa.same_span(p1, generated)
@@ -438,14 +449,23 @@ class TestFirstFloorAlgebra:
         for suite in all_suites:
             bc = suite.ctx.bc
             for k, ci in zip(suite.intermediate_groups, suite.compat):
-                p1 = basic.first_floor_algebra(bc, ci, suite.ctx.jones_projection(ci))
+                p1 = first_floor(bc, ci)
                 assert p1.dim == len(suite.group) * sa.index(suite.group, k), suite.name
 
     def test_wrong_projection_rejected(self, suite_d4):
-        bc = suite_d4.ctx.bc
+        # e in place of e_P breaks the first of M1's identities
+        bc, f = suite_d4.ctx.bc, suite_d4.compat[0].F
         with pytest.raises(ConstructionError) as err:
-            basic.first_floor_algebra(bc, suite_d4.compat[0], bc.e_proj)
-        assert err.value.prop == "P1 contains lambda(A) and e_P"
+            basic.floor_algebra(bc, f, sa.orthonormal_basis(f), bc.e_proj)
+        assert err.value.prop == "e fixes the small algebra's coordinates"
+
+    @pytest.mark.parametrize("name", ["suite_d4", "suite_s4_v"])
+    def test_reproduces_m1(self, name, request):
+        # the builder of every P1, given E, its module basis and e, builds M1
+        bc = request.getfixturevalue(name).ctx.bc
+        m1, *_ = basic.floor_algebra(bc, bc.source, bc.module_basis, bc.e_proj)
+        assert m1.dim == bc.dim_m1
+        assert sa.same_span(m1, bc.m1)
 
 
 class TestSecondFloor:

@@ -10,6 +10,8 @@ from starangles import basic, linalg
 from starangles.errors import ConstructionError
 from starangles.expectation import _axiom_residuals, _bimodule_violation
 
+from conftest import random_matrix
+
 TOL = linalg.DEFAULT_TOLERANCES
 
 
@@ -61,7 +63,7 @@ class TestBatchBoundaries:
         n = exp.big.ambient_dim
         # seven members, the last three off the span
         stack = np.concatenate(
-            [exp.big.basis[:4], np.stack([linalg.random_matrix(rng, n) for _ in range(3)])]
+            [exp.big.basis[:4], np.stack([random_matrix(rng, n) for _ in range(3)])]
         )
         batch_items(ONE_BATCH)
         whole = check_values(exp, stack)
@@ -84,7 +86,7 @@ class TestBatchBoundaries:
 
     def test_span_violation_in_last_batch(self, suite_s3, batch_items):
         a = suite_s3.algebra
-        outside = linalg.random_matrix(np.random.default_rng(2), a.ambient_dim)
+        outside = random_matrix(np.random.default_rng(2), a.ambient_dim)
         stack = np.concatenate([a.basis, outside[None]])  # 7 members: batches 3, 3, 1
         batch_items(ONE_BATCH)
         whole = a._max_span_residual(stack)

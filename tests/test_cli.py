@@ -11,6 +11,7 @@ import pytest
 from starangles import cli, errors
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+INVALID = sorted((Path(__file__).resolve().parent / "invalid_scenarios").glob("*.json"))
 
 
 def run_cli(args):
@@ -287,6 +288,21 @@ class TestExitCodes:
         assert run_cli(["angle", d4_scenario]) == (2 if validation else 3)
         err = capsys.readouterr().err
         assert "injected" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["validate", path] for path in INVALID]
+        + [
+            ["index", SCENARIOS / "d4_pair.json", "--seed", "-1"],
+            ["verify", SCENARIOS / "d4_pair.json", "--seed", "-3"],
+        ],
+        ids=[path.stem for path in INVALID] + ["index_seed_negative", "verify_seed_negative"],
+    )
+    def test_malformed_input_exits_2(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
         assert "Traceback" not in err
 
 

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 import starangles as sa
 from starangles.errors import ConstructionError, ContainmentError, IncompatibilityError
 from starangles.expectation import _verify_expectation_axioms
-from starangles.linalg import adjoint, op_norm, random_matrix, random_unitary
+from starangles.linalg import adjoint, op_norm
 
-from conftest import full_matrix_algebra, scalar_algebra
+from conftest import full_matrix_algebra, random_matrix, random_unitary, scalar_algebra
 
 
 @pytest.fixture

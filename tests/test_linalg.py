@@ -9,6 +9,8 @@ from starangles.errors import (
     SingularityError,
 )
 
+from conftest import random_matrix, random_unitary
+
 
 @pytest.fixture
 def rng():
@@ -24,7 +26,7 @@ class TestOpNorm:
 
     def test_against_power_iteration(self, rng):
         # oracle: power iteration on M* M converges to the square of sigma_max
-        m = linalg.random_matrix(rng, 5)
+        m = random_matrix(rng, 5)
         gram = linalg.adjoint(m) @ m
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         for _ in range(2000):
@@ -41,11 +43,11 @@ class TestOpNorm:
 
     def test_submultiplicative_and_unitarily_invariant(self, rng):
         for _ in range(20):
-            a = linalg.random_matrix(rng, 4)
-            b = linalg.random_matrix(rng, 4)
+            a = random_matrix(rng, 4)
+            b = random_matrix(rng, 4)
             assert linalg.op_norm(a @ b) <= linalg.op_norm(a) * linalg.op_norm(b) + 1e-9
-            u = linalg.random_unitary(rng, 4)
-            v = linalg.random_unitary(rng, 4)
+            u = random_unitary(rng, 4)
+            v = random_unitary(rng, 4)
             assert linalg.op_norm(u @ a @ v) == pytest.approx(
                 linalg.op_norm(a), abs=1e-9
             )
@@ -55,7 +57,7 @@ class TestOpNorm:
         # the Gram kernel against LAPACK's SVD, also where x* x would under- or overflow
         rank_one = rng.standard_normal((2, 6, 1)) @ rng.standard_normal((2, 1, 6))
         stacks = [
-            np.stack([linalg.random_matrix(rng, 6) for _ in range(5)]),
+            np.stack([random_matrix(rng, 6) for _ in range(5)]),
             rank_one.astype(complex),
             rng.standard_normal((3, 4, 7)) + 1j * rng.standard_normal((3, 4, 7)),
             rng.standard_normal((3, 7, 4)) + 1j * rng.standard_normal((3, 7, 4)),
@@ -76,7 +78,7 @@ class TestOpNorm:
         assert norms[1] == pytest.approx(1e-300, rel=1e-14)
 
     def test_op_norms_batch_matches_scalar(self, rng):
-        stack = np.stack([linalg.random_matrix(rng, 3) for _ in range(5)])
+        stack = np.stack([random_matrix(rng, 3) for _ in range(5)])
         batched = linalg.op_norms(stack)
         for i in range(5):
             assert batched[i] == pytest.approx(linalg.op_norm(stack[i]), abs=1e-12)
@@ -92,14 +94,14 @@ class TestPsdCalculus:
         assert np.allclose(out, np.eye(3), atol=1e-12)
 
     def test_sqrt_squares_back(self, rng):
-        a = linalg.random_matrix(rng, 6)
+        a = random_matrix(rng, 6)
         h = linalg.adjoint(a) @ a
         root = linalg.psd_calculus(h, "sqrt")
         assert linalg.op_norm(root @ root - h) < 1e-9
 
     def test_sqrt_matches_eigendecomposition_oracle(self, rng):
         # oracle: assemble f(H) from an explicit eigendecomposition
-        a = linalg.random_matrix(rng, 4)
+        a = random_matrix(rng, 4)
         h = linalg.adjoint(a) @ a
         w, v = np.linalg.eigh(h)
         oracle = (v * np.sqrt(np.clip(w, 0, None))) @ linalg.adjoint(v)
@@ -135,7 +137,7 @@ class TestPsdCalculus:
 
 class TestMaxOpNorm:
     def test_exact_above_bound_never_below(self, rng):
-        stack = np.stack([linalg.random_matrix(rng, 4) for _ in range(6)])
+        stack = np.stack([random_matrix(rng, 4) for _ in range(6)])
         exact = float(linalg.op_norms(stack).max())
         for bound in (1e-9, 0.5 * exact, exact, 2.0 * exact, 100.0):
             screened = linalg.max_op_norm(stack, bound)
@@ -145,7 +147,7 @@ class TestMaxOpNorm:
 
     def test_decides_like_the_exact_norm(self, rng):
         # tiny residuals: the Frobenius bound stands in below the bound
-        stack = 1e-12 * np.stack([linalg.random_matrix(rng, 3) for _ in range(4)])
+        stack = 1e-12 * np.stack([random_matrix(rng, 3) for _ in range(4)])
         exact = float(linalg.op_norms(stack).max())
         for bound in (1e-13, exact, 1e-9):
             assert (linalg.max_op_norm(stack, bound) > bound) == (exact > bound)
@@ -171,8 +173,8 @@ class TestKron:
         assert np.array_equal(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_adjoint_multiplicativity(self, rng):
-        a = linalg.random_matrix(rng, 2)
-        b = linalg.random_matrix(rng, 3)
+        a = random_matrix(rng, 2)
+        b = random_matrix(rng, 3)
         assert np.allclose(
             linalg.adjoint(linalg.kron(a, b)),
             linalg.kron(linalg.adjoint(a), linalg.adjoint(b)),
@@ -180,7 +182,7 @@ class TestKron:
         )
 
     def test_mixed_product_against_loop_oracle(self, rng):
-        a, b, c, d = (linalg.random_matrix(rng, 2) for _ in range(4))
+        a, b, c, d = (random_matrix(rng, 2) for _ in range(4))
         left = linalg.kron(a, b) @ linalg.kron(c, d)
         right = _kron_by_loops(a @ c, b @ d)
         assert linalg.op_norm(left - right) < 1e-12
@@ -204,7 +206,7 @@ class TestTolerances:
 
 class TestOrthonormalSpan:
     def test_orthonormal_output(self, rng):
-        mats = [linalg.random_matrix(rng, 3) for _ in range(4)]
+        mats = [random_matrix(rng, 3) for _ in range(4)]
         basis = linalg.orthonormal_span(np.stack(mats))
         assert basis.shape[0] == 4
         for i in range(4):
@@ -213,12 +215,12 @@ class TestOrthonormalSpan:
                 assert inner == pytest.approx(float(i == j), abs=1e-12)
 
     def test_rank_deficiency_collapses(self, rng):
-        m = linalg.random_matrix(rng, 3)
+        m = random_matrix(rng, 3)
         basis = linalg.orthonormal_span(np.stack([m, 2.0 * m, 1j * m]))
         assert basis.shape[0] == 1
 
     def test_span_preserved(self, rng):
-        mats = np.stack([linalg.random_matrix(rng, 3) for _ in range(3)])
+        mats = np.stack([random_matrix(rng, 3) for _ in range(3)])
         basis = linalg.orthonormal_span(mats)
         for m in mats:
             coeffs = np.array([np.vdot(b, m) / 3 for b in basis])

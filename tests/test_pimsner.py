@@ -155,9 +155,7 @@ class TestVerifyQuasiBasis:
     def test_constructed_basis_reconstructs(self, all_suites):
         for suite in all_suites:
             basis = sa.orthonormal_basis(suite.expectation)
-            residual = sa.verify_quasi_basis(
-                suite.expectation, basis.elements, samples=100, seed=11
-            )
+            residual = sa.verify_quasi_basis(suite.expectation, basis.elements)
             assert residual < 1e-9, suite.name
 
     def test_coset_representatives_are_quasi_basis(self, suite_d4_r2):
@@ -170,14 +168,12 @@ class TestVerifyQuasiBasis:
                 seen.add(coset)
                 reps.append(suite.rep.unitary(g))
         assert len(reps) == sa.index(suite.group, suite.small_group)
-        residual = sa.verify_quasi_basis(suite.expectation, reps, samples=50, seed=3)
+        residual = sa.verify_quasi_basis(suite.expectation, reps)
         assert residual < 1e-9
 
     def test_missing_element_breaks_reconstruction(self, suite_s3):
         basis = sa.orthonormal_basis(suite_s3.expectation)
-        residual = sa.verify_quasi_basis(
-            suite_s3.expectation, basis.elements[:-1], samples=20, seed=5
-        )
+        residual = sa.verify_quasi_basis(suite_s3.expectation, basis.elements[:-1])
         assert residual > 0.5
 
     def test_membership_enforced(self, suite_s3):
