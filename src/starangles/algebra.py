@@ -8,13 +8,15 @@ reference state on an ambient is always the normalized matrix trace.
 Constructors: generated algebras, group algebras in the left regular
 representation, crossed products by finite permutation-group actions,
 fixed-point algebras, tensoring by a matrix factor, relative commutants.
+No constructor builds an expectation: a fixed-point algebra's averaging map
+is the trace-preserving one (``expectation.trace_preserving``).
 Stacked span, closure and generation work runs in ``linalg.batches``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +30,6 @@ from .errors import (
 )
 from .groups import Perm, PermGroup, identity_perm
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_square_matrix
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .expectation import CondExpectation
 
 
 class StarAlgebra:
@@ -533,10 +532,14 @@ def crossed_product(
 
 def fixed_point(
     base: StarAlgebra, action: GroupAction, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[StarAlgebra, "CondExpectation"]:
-    """Fixed-point subalgebra with the averaging conditional expectation."""
-    from .expectation import CondExpectation, _verify_expectation_axioms
+) -> StarAlgebra:
+    """Fixed-point subalgebra of a unitary action: the span of the averages
+    ``sum_g u_g x u_g* / |G|`` over the base's basis.
 
+    Averaging is idempotent onto the fixed points, and it is Hilbert-Schmidt
+    self-adjoint, as ``g -> g^-1`` permutes G. So it is the trace-preserving
+    expectation onto them: ``trace_preserving(Inclusion(base, fixed))``.
+    """
     if action.ambient_dim != base.ambient_dim:
         raise ArgumentError("action does not act on the base algebra's ambient space")
     if not action.normalizes(base, tol):
@@ -549,7 +552,4 @@ def fixed_point(
         )
         / order
     )
-    fixed = from_span(base.ambient_dim, list(averaged), tol)
-    expectation = CondExpectation(Inclusion(big=base, small=fixed, tol=tol), values=averaged)
-    _verify_expectation_axioms(expectation, tol)
-    return fixed, expectation
+    return from_span(base.ambient_dim, list(averaged), tol)

@@ -36,7 +36,7 @@ from . import algebra as alg
 from . import linalg
 from .algebra import Inclusion, StarAlgebra, commutant_within
 from .errors import ConstructionError
-from .expectation import CondExpectation, _verify_expectation_axioms
+from .expectation import CondExpectation, _verify_expectation_axioms, _verify_faithful_state
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
@@ -128,14 +128,12 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     a, b = exp.big, exp.small
     d = a.dim
 
+    _verify_faithful_state(exp, tol)  # E may come unverified; later steps misreport it
     module = orthonormal_basis(exp, tol)
     index = watatani_index(module, tol)
 
     gram = exp.state_gram(a, a)
     gram = (gram + adjoint(gram)) / 2.0
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= tol.rank_tol:
-        raise ConstructionError("state faithfulness", float(eigs[0]))
     gram_sqrt = linalg.psd_calculus(gram, "sqrt", tol)
     gram_inv_sqrt = linalg.psd_calculus(gram, "pinv_sqrt", tol)
 

@@ -5,7 +5,8 @@ Scenario files are JSON. Complex matrix entries are written as
 Reports embed the tolerances, seed and library version, and identical
 inputs produce byte-identical JSON output.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical-invariant failure.
+Exit codes: 0 success, 2 validation failure or an unwritable report, 3
+numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -268,14 +269,9 @@ def build_bundle(scenario: Scenario) -> Bundle:
             intermediates["L"] = subalgebra(scenario.subgroup_l, tol)
         oracle = (scenario.group, scenario.subgroup_h, scenario.subgroup_k, scenario.subgroup_l)
     elif scenario.kind == "fixed_point":
-        base = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
+        big = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
         action = action_from_generators(scenario.group, scenario.action_unitaries, tol)
-        fixed, expectation = fixed_point(base, action, tol)
-        if k > 1:
-            big = tensor_by_factor(base, k, tol)
-            small = tensor_by_factor(fixed, k, tol)
-            expectation = trace_preserving(Inclusion(big=big, small=small, tol=tol), tol)
-        return Bundle(scenario, expectation, {}, None)
+        small = fixed_point(big, action, tol)
     else:  # custom_matrix
         big = from_generators(scenario.ambient_dim, scenario.a_generators, tol)
         small = from_generators(scenario.ambient_dim, scenario.b_generators or [], tol)
@@ -455,9 +451,7 @@ def _cmd_exterior(bundle: Bundle, second_floor: bool) -> dict:
 
 def _cmd_verify(bundle: Bundle) -> dict:
     tol = bundle.scenario.tolerances
-    report = verify_expectation(
-        bundle.expectation, samples=32, seed=bundle.scenario.seed, tol=tol
-    )
+    report = verify_expectation(bundle.expectation, tol=tol)
     basis = pimsner.orthonormal_basis(bundle.expectation, tol)
     wi = pimsner.watatani_index(basis, tol)
     residual = pimsner.verify_quasi_basis(bundle.expectation, basis.elements, tol)
@@ -482,8 +476,7 @@ def _cmd_verify(bundle: Bundle) -> dict:
             "range_residual": report.range_residual,
             "fixes_small": report.fixes_small,
             "adjoint_preservation": report.adjoint_preservation,
-            "positivity_violation": report.positivity_violation,
-            "faithfulness_floor": report.faithfulness_floor,
+            "state_min_eigenvalue": report.state_min_eigenvalue,
             "state_symmetry": report.state_symmetry,
             "bimodule_equations_checked": report.bimodule_checked,
             "bimodule_equations_total": report.bimodule_total,
@@ -605,7 +598,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None, help="matrix-equality tolerance")
     parser.add_argument("--rank-tol", type=float, default=None, help="eigenvalue cutoff")
     parser.add_argument("--angle-tol", type=float, default=None, help="path-agreement tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="seed for verify's probabilistic-index ascent"
+    )
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument(
@@ -640,39 +635,39 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        report = _envelope("validate", scenario, {"valid": True})
-        _emit(report, args.format, args.out)
-        return 0
-
     try:
-        bundle = build_bundle(scenario)
-        if args.command == "index":
-            results = _cmd_index(bundle)
-        elif args.command == "quasi-basis":
-            results = _cmd_quasi_basis(bundle)
-        elif args.command == "angle":
-            results = _cmd_angle(bundle, args.path)
-        elif args.command == "exterior-angle":
-            results = _cmd_exterior(bundle, args.second_floor)
-        elif args.command == "verify":
-            results = _cmd_verify(bundle)
-        else:  # lattice
-            out_dir = Path(args.out) if args.out else Path.cwd()
-            stem = Path(args.scenario).stem
-            results = _cmd_lattice(bundle, args.path, out_dir, stem)
+        if args.command == "validate":
+            results = {"valid": True}
+        else:
+            bundle = build_bundle(scenario)
+            if args.command == "index":
+                results = _cmd_index(bundle)
+            elif args.command == "quasi-basis":
+                results = _cmd_quasi_basis(bundle)
+            elif args.command == "angle":
+                results = _cmd_angle(bundle, args.path)
+            elif args.command == "exterior-angle":
+                results = _cmd_exterior(bundle, args.second_floor)
+            elif args.command == "verify":
+                results = _cmd_verify(bundle)
+            else:  # lattice
+                out_dir = Path(args.out) if args.out else Path.cwd()
+                stem = Path(args.scenario).stem
+                results = _cmd_lattice(bundle, args.path, out_dir, stem)
+        report = _envelope(args.command, scenario, results)
+        if args.command == "lattice":
+            _emit(report, args.format, args.out and str(Path(args.out) / "lattice_report.json"))
+        else:
+            _emit(report, args.format, args.out)
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 2
     except StarAnglesError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-
-    report = _envelope(args.command, scenario, results)
-    if args.command == "lattice":
-        _emit(report, args.format, args.out and str(Path(args.out) / "lattice_report.json"))
-    else:
-        _emit(report, args.format, args.out)
+    except OSError as err:  # a report that cannot be written
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
     if args.command == "verify" and not results["all_passed"]:
         return 3
     return 0

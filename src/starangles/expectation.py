@@ -11,10 +11,12 @@ the Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
 The compatible expectation onto an intermediate is the ``phi``-orthogonal
 projection onto it.
 
-Every expectation built passes one axiom check; bimodularity is checked
-as left and right modularity on basis pairs, exhaustively up to a budget
-and on a seeded sample of that size above it (``verify`` reports coverage).
-Each residual is a maximum over ``linalg.batches``: no table-sized temporary.
+Every expectation built passes one check: six algebraic axioms, then the
+exact test ``lambda_min(rho) > rank_tol``, which with them decides that E is
+positive and faithful (``_state_min_eigenvalue``). Bimodularity is checked as
+left and right modularity on basis pairs, exhaustively up to a budget and on
+a seeded sample of that size above it (``verify`` reports coverage). Each
+residual is a maximum over ``linalg.batches``: no table-sized temporary.
 """
 
 from __future__ import annotations
@@ -125,10 +127,43 @@ def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
 
 
 def _verify_expectation_axioms(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Raise ConstructionError naming the first violated axiom."""
+    """Raise ConstructionError naming the first violated axiom or an unfaithful state."""
     for prop, residual in _axiom_residuals(exp, tol):
         if residual > tol.eq_tol:
             raise ConstructionError(prop, residual)
+    _verify_faithful_state(exp, tol)
+
+
+def _state_min_eigenvalue(exp: CondExpectation) -> float:
+    """Least eigenvalue of the induced state's density ``rho``.
+
+    ``phi(x) = tr(rho x) / n`` with ``rho = sum_s phi(a_s) a_s*``, which lies
+    in A, and so do its spectral projections. For x in A,
+    ``phi(x* x) = tr(x rho x*) / n >= lambda_min(rho) tr(x x*) / n``, with
+    equality at rho's bottom spectral projection. So ``lambda_min(rho)``
+    equals the least eigenvalue of ``state_gram(A, A)`` (A's basis is
+    orthonormal), and bounds that of any subalgebra's Gram from below.
+
+    If E satisfies the six axioms, E is positive and faithful exactly when
+    ``lambda_min(rho) > 0``. Forward: ``phi = tr o E / n`` is then faithful,
+    so its minimum ``lambda_min(rho)`` on the unit sphere is positive. Back:
+    phi is positive and faithful by the bound above. For ``x >= 0`` let
+    ``q`` in B project onto the negative part of the self-adjoint ``E(x)``.
+    By bimodularity ``phi(q E(x) q) = phi(E(q x q))``, and ``phi o E = phi``
+    by idempotency, so it equals ``phi(q x q) >= 0``; as ``q E(x) q <= 0``
+    and phi is faithful, ``q E(x) q = 0``, so ``E(x) >= 0``. And
+    ``E(x* x) = 0`` gives ``phi(x* x) = 0``, so ``x = 0``. A table that is
+    not adjoint-preserving is read by ``rho``'s Hermitian part.
+    """
+    rho_star = exp._density_adjoint()
+    return float(np.linalg.eigvalsh((rho_star + adjoint(rho_star)) / 2.0)[0])
+
+
+def _verify_faithful_state(exp: CondExpectation, tol: Tolerances) -> None:
+    """Raise ``ConstructionError("state faithfulness")`` unless ``lambda_min(rho) > rank_tol``."""
+    floor = _state_min_eigenvalue(exp)
+    if floor <= tol.rank_tol:
+        raise ConstructionError("state faithfulness", floor)
 
 
 def _bimodule_coverage(exp: CondExpectation) -> tuple[int, int]:
@@ -181,30 +216,9 @@ def expectation_from_values(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CondExpectation:
     """Custom expectation from its values on the big algebra's basis."""
-    stack = np.asarray(values, dtype=complex)
-    exp = CondExpectation(inclusion=inc, values=stack)
+    exp = CondExpectation(inclusion=inc, values=np.asarray(values, dtype=complex))
     _verify_expectation_axioms(exp, tol)
-    positivity, _ = _sampled_positivity(exp, samples=16, seed=5)
-    if positivity > tol.eq_tol:
-        raise ConstructionError("positivity", positivity)
     return exp
-
-
-def _sampled_positivity(exp: CondExpectation, samples: int, seed: int) -> tuple[float, float]:
-    """Worst negativity and least top eigenvalue of ``E(x* x)`` over seeded ``|x| = 1``."""
-    a = exp.big
-    rng = np.random.default_rng(seed)
-    positivity = 0.0
-    faithful_floor = np.inf
-    for _ in range(max(1, samples)):
-        x = a.random_element(rng)
-        scale = max(op_norm(x), 1e-30)
-        image = exp.apply(adjoint(x) @ x) / scale**2
-        image = (image + adjoint(image)) / 2.0
-        eigs = np.linalg.eigvalsh(image)
-        positivity = max(positivity, float(-eigs[0]))
-        faithful_floor = min(faithful_floor, float(eigs[-1]))
-    return positivity, float(faithful_floor)
 
 
 @dataclass(frozen=True)
@@ -217,6 +231,8 @@ class ExpectationReport:
     is the largest ``|phi(E(a_s)* a_t) - phi(a_s* E(a_t))|`` over basis
     pairs, for the induced state ``phi``; both sides equal
     ``tr(E(a_s)* E(a_t)) / n`` for every expectation.
+    ``state_min_eigenvalue`` is ``lambda_min(rho)``; with the six axioms E is
+    positive and faithful exactly when it exceeds 0 (``passed``: ``rank_tol``).
     """
 
     idempotency: float
@@ -225,25 +241,18 @@ class ExpectationReport:
     range_residual: float
     fixes_small: float
     adjoint_preservation: float
-    positivity_violation: float
-    faithfulness_floor: float
+    state_min_eigenvalue: float
     state_symmetry: float
-    samples: int
     bimodule_checked: int
     bimodule_total: int
     passed: bool
 
 
-def verify(
-    exp: CondExpectation,
-    samples: int = 32,
-    seed: int = 7,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ExpectationReport:
+def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> ExpectationReport:
     """Diagnostic report on an expectation; never raises."""
     a = exp.big
     axioms = dict(_axiom_residuals(exp, tol))
-    positivity, faithful_floor = _sampled_positivity(exp, samples, seed)
+    state_floor = _state_min_eigenvalue(exp)
     # phi(x* y) = <x rho*, y> in the normalized Hilbert-Schmidt product
     rho_star = exp._density_adjoint()
     values_flat = exp.values.reshape(a.dim, -1)
@@ -258,17 +267,14 @@ def verify(
         range_residual=axioms["range containment"],
         fixes_small=axioms["fixes the small algebra"],
         adjoint_preservation=axioms["adjoint preservation"],
-        positivity_violation=positivity,
-        faithfulness_floor=faithful_floor,
+        state_min_eigenvalue=state_floor,
         state_symmetry=state_sym,
-        samples=samples,
         bimodule_checked=checked,
         bimodule_total=total,
         passed=(
             max(axioms.values()) < tol.eq_tol
-            and positivity < tol.eq_tol
             and state_sym < tol.eq_tol
-            and faithful_floor > tol.rank_tol
+            and state_floor > tol.rank_tol
         ),
     )
 
@@ -303,13 +309,10 @@ def make_compatible(
     restricted = CondExpectation(
         inclusion=Inclusion(big=p, small=b, tol=tol), values=exp.apply_many(p.basis)
     )
+    # its state is phi on P, so this also checks that phi is faithful on P
     _verify_expectation_axioms(restricted, tol)
 
-    gram = exp.state_gram(p, p)
-    eigs = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)
-    if eigs[0] <= tol.rank_tol:
-        raise IncompatibilityError("state degenerates on the intermediate", float(eigs[0]))
-    coeffs = np.linalg.solve(gram, exp.state_gram(p, a))  # (dimP, dimA)
+    coeffs = np.linalg.solve(exp.state_gram(p, p), exp.state_gram(p, a))  # (dimP, dimA)
     f_values = np.tensordot(coeffs.T, p.basis, axes=(1, 0))
     f = CondExpectation(inclusion=into_big, values=f_values)
     try:

@@ -52,8 +52,8 @@ class Tolerances:
     angle_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.eq_tol, self.rank_tol, self.angle_tol) <= 0.0:
-            raise ArgumentError("tolerances must be strictly positive")
+        if not all(0.0 < t < np.inf for t in (self.eq_tol, self.rank_tol, self.angle_tol)):
+            raise ArgumentError("tolerances must be finite and strictly positive")
         if self.rank_tol > self.eq_tol:
             raise ArgumentError("rank_tol must not exceed eq_tol")
 

@@ -140,7 +140,8 @@ def fixed_point_m2():
     flip = sa.parse_cycles("(1 2)", 2)
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     action = sa.action_from_generators(sa.closure(2, [flip]), {flip: sigma_z})
-    fixed, expectation = sa.fixed_point(m2, action)
+    fixed = sa.fixed_point(m2, action)
+    expectation = sa.trace_preserving(sa.Inclusion(big=m2, small=fixed))
     return m2, fixed, expectation, action
 
 

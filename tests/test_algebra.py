@@ -195,10 +195,9 @@ class TestFixedPoint:
         m2 = full_matrix_algebra(2)
         group = sa.cyclic(2)
         trivial = sa.GroupAction(group, {g: np.eye(2, dtype=complex) for g in group.elements})
-        fixed, expectation = sa.fixed_point(m2, trivial)
+        fixed = sa.fixed_point(m2, trivial)
         assert fixed.dim == m2.dim
-        for s in range(m2.dim):
-            assert op_norm(expectation.values[s] - m2.basis[s]) < 1e-12
+        assert fixed._max_span_residual(m2.basis) < 1e-12
 
     def test_sigma_z_action_fixes_diagonal(self, fixed_point_m2):
         _, fixed, expectation, _ = fixed_point_m2
@@ -207,13 +206,30 @@ class TestFixedPoint:
         assert not fixed.contains(SIGMA_X)[0]
 
     def test_expectation_is_diagonal_part(self, fixed_point_m2):
-        m2, _, expectation, action = fixed_point_m2
+        m2, _, _, action = fixed_point_m2
+        expectation = sa.trace_preserving(sa.Inclusion(big=m2, small=sa.fixed_point(m2, action)))
         rng = np.random.default_rng(3)
         for _ in range(8):
             x = m2.random_element(rng)
             averaged = (x + SIGMA_Z @ x @ SIGMA_Z) / 2.0  # direct average oracle
             assert op_norm(expectation.apply(x) - averaged) < 1e-12
             assert op_norm(expectation.apply(x) - np.diag(np.diag(x))) < 1e-12
+
+    def test_trace_preserving_is_the_average_over_s3(self):
+        # S3 permuting the coordinates of C^3 acts on M_3; its fixed points are
+        # spanned by 1 and the all-ones matrix, and averaging is their expectation
+        m3 = full_matrix_algebra(3)
+        group = sa.symmetric(3)
+        unitaries = {g: np.eye(3, dtype=complex)[:, list(g.images)] for g in group.elements}
+        action = sa.GroupAction(group, unitaries)
+        fixed = sa.fixed_point(m3, action)
+        assert fixed.dim == 2
+        expectation = sa.trace_preserving(sa.Inclusion(big=m3, small=fixed))
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            x = m3.random_element(rng)
+            averaged = sum(u @ x @ adjoint(u) for u in unitaries.values()) / len(unitaries)
+            assert op_norm(expectation.apply(x) - averaged) < 1e-12
 
 
 class TestTensorByFactor:

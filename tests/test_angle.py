@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import starangles as sa
 from starangles.errors import ArgumentError, DegenerateDenominatorError, InvariantError
+from starangles.expectation import _state_min_eigenvalue
 from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
 from conftest import random_unitary
@@ -311,6 +312,19 @@ def conjugated_d4(seed: int):
     )
     cis = tuple(sa.make_compatible(exp, conjugate(rep.subalgebra(m))) for m in D4_PROPER)
     return exp, cis, sa.AngleContext(exp)
+
+
+def test_state_min_eigenvalue_is_each_gram_floor():
+    # on every expectation of the tower the density's least eigenvalue is the
+    # least eigenvalue of the state's Gram matrix on the big algebra
+    exp, cis, ctx = conjugated_d4(3)
+    named = {"E": exp, "E1": ctx.dual}
+    for i, ci in enumerate(cis):
+        named[f"F_P{i}"], named[f"E|_P{i}"] = ci.F, ci.E_restricted
+    for name, e in named.items():
+        gram = e.state_gram(e.big, e.big)
+        floor = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[0]
+        assert abs(_state_min_eigenvalue(e) - floor) < 1e-12, name
 
 
 pair_indices = st.integers(0, 7)

@@ -207,7 +207,7 @@ class TestDualExpectation:
     def test_axioms_hold_as_expectation(self, s3_over_swap):
         *_, bc = s3_over_swap
         dual = basic.dual_expectation(bc)
-        report = sa.verify(dual, samples=16, seed=13)
+        report = sa.verify(dual)
         assert report.passed
 
     def test_rank_one_inclusion_dual(self, trace_inclusions):

@@ -305,6 +305,19 @@ class TestExitCodes:
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("form", ["lattice_out_is_a_file", "index_out_dir_missing"])
+    def test_unwritable_out_exits_2(self, form, tmp_path, capsys):
+        if form == "lattice_out_is_a_file":
+            taken = tmp_path / "taken"
+            taken.write_text("")
+            args = ["lattice", SCENARIOS / "s3_pair.json", "--out", taken]
+        else:
+            args = ["index", SCENARIOS / "s3_pair.json", "--out", tmp_path / "missing" / "r.json"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "Traceback" not in err
+
 
 class TestScenarioKinds:
     def test_crossed_product_scenario(self, capsys):

@@ -62,7 +62,7 @@ class TestTracePreserving:
 
 class TestVerify:
     def test_valid_expectation_passes(self, diag_in_m2):
-        report = sa.verify(diag_in_m2, samples=16, seed=3)
+        report = sa.verify(diag_in_m2)
         assert report.passed
         assert max(report.idempotency, report.bimodule, report.unitality) < 1e-9
 
@@ -75,7 +75,7 @@ class TestVerify:
             [leak * big.coords(big.basis[s])[0] for s in range(big.dim)]
         )
         perturbed = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
-        report = sa.verify(perturbed, samples=16, seed=3)
+        report = sa.verify(perturbed)
         assert not report.passed
         worst = max(report.range_residual, report.bimodule, report.idempotency)
         assert 1e-5 < worst < 1e-1
@@ -86,7 +86,7 @@ class TestVerify:
         corner = np.diag([1.0, 0.0]).astype(complex)
         values = np.stack([x[0, 0] * corner for x in big.basis])
         broken = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
-        report = sa.verify(broken, samples=8, seed=4)
+        report = sa.verify(broken)
         assert report.unitality > 0.4
         with pytest.raises(ConstructionError):
             _verify_expectation_axioms(broken)
@@ -103,7 +103,7 @@ class TestVerify:
         with pytest.raises(ConstructionError) as err:
             _verify_expectation_axioms(skewed)
         assert err.value.prop == "bimodule property"
-        report = sa.verify(skewed, samples=8, seed=6)
+        report = sa.verify(skewed)
         assert 1e-4 < report.bimodule < 1e-2
         assert report.state_symmetry > 1e-4  # <E(sigma_x), diag(1, -1)> = 2c, not 0
         assert max(report.range_residual, report.idempotency, report.adjoint_preservation) < 1e-12
@@ -112,7 +112,7 @@ class TestVerify:
         # tr(h .) 1 on M_2 is not Hilbert-Schmidt symmetric (off by 0.5),
         # but phi(E(x)* y) = phi(x* E(y)) holds for every expectation
         exp = state_expectation(np.array([0.75, 0.25]), np.eye(2, dtype=complex))
-        report = sa.verify(exp, samples=8, seed=0)
+        report = sa.verify(exp)
         assert report.state_symmetry < 1e-12
         assert report.passed
 
@@ -126,12 +126,12 @@ class TestVerify:
         with pytest.raises(ConstructionError) as err:
             _verify_expectation_axioms(leaky)
         assert err.value.prop == "range containment"
-        assert sa.verify(leaky, samples=4, seed=0).range_residual >= 2e-9
+        assert sa.verify(leaky).range_residual >= 2e-9
 
     def test_compatible_expectations_checked_exhaustively(self, suite_s3):
         for ci in suite_s3.compat:
             for exp in (ci.F, ci.E_restricted):
-                report = sa.verify(exp, samples=4, seed=0)
+                report = sa.verify(exp)
                 assert report.passed
                 assert report.bimodule_checked == report.bimodule_total
                 assert report.bimodule_total == 2 * exp.small.dim * exp.big.dim
@@ -139,14 +139,33 @@ class TestVerify:
     def test_sampled_bimodule_coverage_reported(self):
         m8 = full_matrix_algebra(8)
         exp = sa.trace_preserving(sa.Inclusion(big=m8, small=m8))
-        report = sa.verify(exp, samples=4, seed=0)
+        report = sa.verify(exp)
         assert (report.bimodule_checked, report.bimodule_total) == (4096, 8192)
         assert report.passed
 
     def test_expectation_from_values_validates(self, diag_in_m2):
         rebuilt = sa.expectation_from_values(diag_in_m2.inclusion, diag_in_m2.values)
-        report = sa.verify(rebuilt, samples=8, seed=5)
+        report = sa.verify(rebuilt)
         assert report.passed
+
+    def test_indefinite_state_rejected(self):
+        # tr(h .) 1 on M_3 with h of eigenvalues 0.6, 0.5, -0.1 has all six
+        # axioms, but is not positive: rho = 3h has least eigenvalue -0.3
+        exp = state_expectation(
+            np.array([0.6, 0.5, -0.1]), random_unitary(np.random.default_rng(0), 3)
+        )
+        constructors = (
+            lambda: sa.expectation_from_values(exp.inclusion, exp.values),
+            lambda: sa.build(exp),  # build takes unverified expectations
+        )
+        for construct in constructors:
+            with pytest.raises(ConstructionError) as err:
+                construct()
+            assert err.value.prop == "state faithfulness"
+        report = sa.verify(exp)
+        assert not report.passed
+        assert report.state_min_eigenvalue == pytest.approx(-0.3, abs=1e-12)
+        assert max(report.idempotency, report.bimodule, report.adjoint_preservation) < 1e-12
 
 
 class TestMakeCompatible:
@@ -267,6 +286,14 @@ class TestNonTracial:
             ]
         )
         assert np.abs(exp.state_gram(a, a) - looped).max() < 1e-12
+
+    @given(faithful_states())
+    def test_state_min_eigenvalue_is_the_gram_floor(self, state):
+        exp = state_expectation(*state)
+        gram = exp.state_gram(exp.big, exp.big)
+        floor = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[0]
+        assert abs(sa.verify(exp).state_min_eigenvalue - floor) < 1e-12
+        assert floor == pytest.approx(len(state[0]) * state[0].min(), abs=1e-12)
 
     @given(faithful_states())
     def test_eigenbasis_diagonal_is_compatible(self, state):

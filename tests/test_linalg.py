@@ -203,6 +203,13 @@ class TestTolerances:
         with pytest.raises(ArgumentError):
             linalg.Tolerances(eq_tol=1e-12, rank_tol=1e-9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["eq_tol", "rank_tol", "angle_tol"])
+    def test_finite_required(self, name, value):
+        # a NaN tolerance would make every `residual > tol` check False
+        with pytest.raises(ArgumentError):
+            linalg.Tolerances(**{name: value})
+
 
 class TestOrthonormalSpan:
     def test_orthonormal_output(self, rng):
