@@ -58,7 +58,6 @@ from .groups import (
     Perm,
     PermGroup,
     closure,
-    conjugacy_classes,
     cyclic,
     dihedral,
     format_cycles,

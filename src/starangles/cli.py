@@ -478,8 +478,6 @@ def _cmd_verify(bundle: Bundle) -> dict:
             "adjoint_preservation": report.adjoint_preservation,
             "state_min_eigenvalue": report.state_min_eigenvalue,
             "state_symmetry": report.state_symmetry,
-            "bimodule_equations_checked": report.bimodule_checked,
-            "bimodule_equations_total": report.bimodule_total,
         },
         "index_scalar": wi.scalar,
         "index_norm": wi.norm,

@@ -13,10 +13,10 @@ projection onto it.
 
 Every expectation built passes one check: six algebraic axioms, then the
 exact test ``lambda_min(rho) > rank_tol``, which with them decides that E is
-positive and faithful (``_state_min_eigenvalue``). Bimodularity is checked as
-left and right modularity on basis pairs, exhaustively up to a budget and on
-a seeded sample of that size above it (``verify`` reports coverage). Each
-residual is a maximum over ``linalg.batches``: no table-sized temporary.
+positive and faithful (``_state_min_eigenvalue``). The bimodule axiom is
+decided from two defect matrices of that state, which vanish exactly for a
+bimodule map and bound every module residual (``_bimodule_violation``); none
+of these checks samples. Each residual is a maximum over ``linalg.batches``.
 """
 
 from __future__ import annotations
@@ -71,15 +71,20 @@ class CondExpectation:
         flat = np.asarray(stack, dtype=complex).reshape(len(stack), n * n)
         return flat @ self._to_small_coords
 
-    @cached_property
-    def _to_small_coords(self) -> np.ndarray:
-        """``K = conj(A_flat)^T W / n``, ``W = coords_B(values)`` built batch by batch."""
+    def _small_values(self) -> np.ndarray:
+        """``W = coords_B(values)`` batch by batch: row s is ``apply(a_s)`` in B."""
         a, b = self.big, self.small
         w = np.empty((a.dim, b.dim), dtype=complex)
         for part in batches(a.dim, a.ambient_dim**2):
             w[part] = b.coords_many(self.values[part])
+        return w
+
+    @cached_property
+    def _to_small_coords(self) -> np.ndarray:
+        """``K = conj(A_flat)^T W / n``."""
+        a = self.big
         # conjugating the small product keeps no conjugate copy of A's basis
-        return np.conj(a._flat.T @ np.conj(w)) / a.ambient_dim
+        return np.conj(a._flat.T @ np.conj(self._small_values())) / a.ambient_dim
 
     def state_gram(self, rows: StarAlgebra, cols: StarAlgebra) -> np.ndarray:
         """Gram matrix ``G[s, t] = phi(r_s* c_t)`` of the induced state.
@@ -101,7 +106,7 @@ def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
     """Lazily yield ``(axiom, residual)`` for the six algebraic axioms, in order.
 
     Each is an upper bound on the operator-norm violation, exact once it
-    reaches ``eq_tol``.
+    reaches ``eq_tol``; the bimodule one is ``_bimodule_violation``'s bound.
     """
     a, b = exp.big, exp.small
     if exp.values.shape != (a.dim, a.ambient_dim, a.ambient_dim):
@@ -123,7 +128,7 @@ def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
         lambda p: exp.apply_many(np.conj(np.swapaxes(a.basis[p], 1, 2)))
         - np.conj(np.swapaxes(values[p], 1, 2)),
     )
-    yield "bimodule property", _bimodule_violation(exp, tol)
+    yield "bimodule property", _bimodule_violation(exp)
 
 
 def _verify_expectation_axioms(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -166,39 +171,52 @@ def _verify_faithful_state(exp: CondExpectation, tol: Tolerances) -> None:
         raise ConstructionError("state faithfulness", floor)
 
 
-def _bimodule_coverage(exp: CondExpectation) -> tuple[int, int]:
-    """Module equations checked, and their total ``2 dim(B) dim(A)``."""
-    total = 2 * exp.small.dim * exp.big.dim
-    # a smaller budget on big algebras, where each equation costs more
-    return min(total, 512 if exp.big.dim > 256 else 4096), total
+def _bimodule_violation(exp: CondExpectation) -> float:
+    """Upper bound ``2 n max(|M_L|, |M_R|) / lambda`` (``inf`` if ``lambda <= 0``)
+    on the operator norm of ``E(b a) - b E(a)`` and ``E(a b) - E(a) b`` over all
+    basis pairs of B and A; with ``1`` in B these give ``E(b x c) = b E(x) c``.
 
+    Here ``E`` is ``apply``, so ``E(a_s) = W[s] . B`` (``_small_values``),
+    ``phi = tr o E / n``, ``|.|_2`` is the normalized Hilbert-Schmidt norm (both
+    bases orthonormal), and ``lambda`` is the least eigenvalue of
+    ``G_BB = state_gram(B, B)``'s Hermitian part. Lemma: the defect
+    ``D(b', x) = phi(b'* (x - E x))`` (b' in B, x in A) is on the bases
+    ``M_L = state_gram(B, A) - G_BB W^T``, so ``|D(b', x)| <= |M_L| |b'|_2 |x|_2``
+    in spectral norm. For b in B and x in A, ``y = E(b x) - b E(x)`` lies in B
+    and ``phi(b'* y) = D(b* b', x) - D(b', b x)`` for all b' in B; at ``b' = y``,
+    ``lambda |y|_2^2 <= |phi(y* y)| <= 2 |M_L| |b|_op |x|_2 |y|_2``. On basis
+    pairs ``|b|_op <= sqrt(n)``, ``|x|_2 = 1`` and ``|y|_op <= sqrt(n) |y|_2``,
+    so ``|y|_op <= 2 n |M_L| / lambda``. The right side mirrors it with
+    ``M_R[u, s] = phi((a_s - E a_s) b_u)``, ``y = E(x b) - E(x) b`` and
+    ``b' = y*`` in B, as ``phi(y y*) >= lambda |y|_2^2``. Converse: for a
+    bimodular E, ``phi(b* E(x)) = tr(b* E(x)) / n = phi(b* x)`` and likewise
+    on the right, so ``M_L = M_R = 0`` and no true expectation is rejected;
+    ``make_compatible``'s ``F = solve(G_PP, G_PA)`` is exactly the projection
+    onto P with ``M_L = 0``.
 
-def _bimodule_violation(exp: CondExpectation, tol: Tolerances) -> float:
-    """Worst residual of ``E(b a) = b E(a)`` and ``E(a b) = E(a) b`` on basis pairs.
-
-    Equivalent to ``E(b x c) = b E(x) c``, as ``1`` lies in B; a seeded
-    sample of the equations above the budget.
+    As ``phi(z* x) = <z rho*, x>``, row u of ``M_L`` is ``<z_u, a_s> -
+    sum_v W[s, v] <z_u, b_v>`` for ``z_u = b_u rho*``, and of ``M_R`` the same
+    for ``z_u = rho* b_u*``: ``2 dim B (n^3 + n^2 dim A)`` in all, whatever the
+    number of module equations, in batches over B's basis.
     """
     a, b = exp.big, exp.small
-    checked, total = _bimodule_coverage(exp)
-    eqs = np.arange(total)
-    if checked < total:
-        eqs = np.sort(np.random.default_rng(20_260_402).choice(total, checked, replace=False))
-    pairs = total // 2
-    worst = 0.0
-    for right, side in enumerate((eqs[eqs < pairs], eqs[eqs >= pairs] - pairs)):
-        for part in batches(len(side), a.ambient_dim**2):
-            i, s = np.divmod(side[part], a.dim)
-            # the expected side is subtracted in place: on the upper floor this
-            # check sets the dual's peak memory
-            if right:
-                residual = exp.apply_many(a.basis[s] @ b.basis[i])
-                residual -= exp.values[s] @ b.basis[i]
-            else:
-                residual = exp.apply_many(b.basis[i] @ a.basis[s])
-                residual -= b.basis[i] @ exp.values[s]
-            worst = max(worst, max_op_norm(residual, tol.eq_tol))
-    return worst
+    g_bb = exp.state_gram(b, b)
+    floor = float(np.linalg.eigvalsh((g_bb + adjoint(g_bb)) / 2.0)[0])
+    if floor <= 0.0:
+        return np.inf
+    rho_star, w_t = exp._density_adjoint(), exp._small_values().T
+
+    def defect_norm(stack_of) -> float:
+        """Spectral norm of the defect matrix of ``z_u = stack_of(b_u)``."""
+        m = np.empty((b.dim, a.dim), dtype=complex)
+        for part in batches(b.dim, a.ambient_dim**2):
+            z = stack_of(b.basis[part])
+            m[part] = np.conj(a.coords_many(z)) - np.conj(b.coords_many(z)) @ w_t
+        return op_norm(m)
+
+    left = defect_norm(lambda bs: bs @ rho_star)
+    right = defect_norm(lambda bs: rho_star @ np.conj(np.swapaxes(bs, 1, 2)))
+    return 2.0 * a.ambient_dim * max(left, right) / floor
 
 
 def trace_preserving(inc: Inclusion, tol: Tolerances = DEFAULT_TOLERANCES) -> CondExpectation:
@@ -226,8 +244,8 @@ class ExpectationReport:
     """Maximal violations found while checking an expectation's axioms.
 
     The six algebraic residuals are those of the construction-time check
-    (norms as in ``_axiom_residuals``); ``bimodule_checked`` of the
-    ``bimodule_total`` module equations were checked. ``state_symmetry``
+    (norms as in ``_axiom_residuals``; ``bimodule`` bounds every module equation
+    on basis pairs, by ``_bimodule_violation``'s lemma). ``state_symmetry``
     is the largest ``|phi(E(a_s)* a_t) - phi(a_s* E(a_t))|`` over basis
     pairs, for the induced state ``phi``; both sides equal
     ``tr(E(a_s)* E(a_t)) / n`` for every expectation.
@@ -243,8 +261,6 @@ class ExpectationReport:
     adjoint_preservation: float
     state_min_eigenvalue: float
     state_symmetry: float
-    bimodule_checked: int
-    bimodule_total: int
     passed: bool
 
 
@@ -259,7 +275,6 @@ def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> Expect
     lhs = np.conj((exp.values @ rho_star).reshape(a.dim, -1)) @ a._flat.T
     rhs = np.conj((a.basis @ rho_star).reshape(a.dim, -1)) @ values_flat.T
     state_sym = float(np.abs(lhs - rhs).max()) / a.ambient_dim
-    checked, total = _bimodule_coverage(exp)
     return ExpectationReport(
         idempotency=axioms["idempotency"],
         unitality=axioms["unitality"],
@@ -269,8 +284,6 @@ def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> Expect
         adjoint_preservation=axioms["adjoint preservation"],
         state_min_eigenvalue=state_floor,
         state_symmetry=state_sym,
-        bimodule_checked=checked,
-        bimodule_total=total,
         passed=(
             max(axioms.values()) < tol.eq_tol
             and state_sym < tol.eq_tol

@@ -291,18 +291,6 @@ def intermediate_subgroups(big: PermGroup, small: PermGroup) -> list[PermGroup]:
     return sorted(subgroups, key=lambda grp: (len(grp), grp.elements))
 
 
-def conjugacy_classes(group: PermGroup) -> list[frozenset[Perm]]:
-    """Conjugacy classes of the group, as frozensets of elements."""
-    remaining = set(group.elements)
-    classes = []
-    while remaining:
-        g = min(remaining)
-        cls = frozenset(h * g * h.inverse() for h in group.elements)
-        classes.append(cls)
-        remaining -= cls
-    return classes
-
-
 def symmetric(n: int) -> PermGroup:
     """Full symmetric group on ``n`` points."""
     if n < 1:

@@ -102,6 +102,34 @@ def all_suites(suite_d4, suite_s3, suite_d4_r2, suite_s4_v):
     return [suite_d4, suite_s3, suite_d4_r2, suite_s4_v]
 
 
+def conjugacy_classes(group: sa.PermGroup) -> list[frozenset[sa.Perm]]:
+    """Conjugacy classes of the group, as frozensets of elements."""
+    remaining = set(group.elements)
+    classes = []
+    while remaining:
+        g = min(remaining)
+        cls = frozenset(h * g * h.inverse() for h in group.elements)
+        classes.append(cls)
+        remaining -= cls
+    return classes
+
+
+def bimodule_residual(exp: sa.CondExpectation) -> float:
+    """Largest operator norm of ``E(b a) - b E(a)`` and ``E(a b) - E(a) b`` over
+    every pair of basis elements of B and A: the exhaustive oracle that the
+    library's bimodule bound must dominate."""
+    a, b = exp.big, exp.small
+    i, s = np.divmod(np.arange(b.dim * a.dim), a.dim)
+    worst = 0.0
+    for part in sa.linalg.batches(len(i), a.ambient_dim**2, matrices=2):
+        b_i, a_s, e_s = b.basis[i[part]], a.basis[s[part]], exp.values[s[part]]
+        left = exp.apply_many(b_i @ a_s) - b_i @ e_s
+        right = exp.apply_many(a_s @ b_i) - e_s @ b_i
+        for residual in (left, right):
+            worst = max(worst, float(sa.linalg.op_norms(residual).max()))
+    return worst
+
+
 def full_matrix_algebra(n: int) -> sa.StarAlgebra:
     units = np.zeros((n * n, n, n), dtype=complex)
     for i in range(n):

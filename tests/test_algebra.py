@@ -7,7 +7,13 @@ import starangles as sa
 from starangles.errors import ArgumentError, ContainmentError
 from starangles.linalg import adjoint, op_norm
 
-from conftest import full_matrix_algebra, random_matrix, random_unitary, scalar_algebra
+from conftest import (
+    conjugacy_classes,
+    full_matrix_algebra,
+    random_matrix,
+    random_unitary,
+    scalar_algebra,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -115,7 +121,7 @@ class TestGroupAlgebra:
         rep = sa.group_algebra(sa.symmetric(3))
         assert rep.algebra.dim == 6
         center = sa.relative_commutant(rep.algebra, rep.algebra)
-        assert center.dim == len(sa.conjugacy_classes(sa.symmetric(3))) == 3
+        assert center.dim == len(conjugacy_classes(sa.symmetric(3))) == 3
 
     def test_translation_homomorphism_on_d4(self):
         g = sa.dihedral(4)
@@ -130,7 +136,7 @@ class TestGroupAlgebra:
         for group in (sa.cyclic(4), sa.dihedral(4), sa.symmetric(3)):
             rep = sa.group_algebra(group)
             center = sa.relative_commutant(rep.algebra, rep.algebra)
-            assert center.dim == len(sa.conjugacy_classes(group))
+            assert center.dim == len(conjugacy_classes(group))
 
     def test_subalgebra_requires_subgroup(self):
         rep = sa.group_algebra(sa.cyclic(4))

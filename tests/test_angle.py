@@ -314,17 +314,42 @@ def conjugated_d4(seed: int):
     return exp, cis, sa.AngleContext(exp)
 
 
-def test_state_min_eigenvalue_is_each_gram_floor():
-    # on every expectation of the tower the density's least eigenvalue is the
-    # least eigenvalue of the state's Gram matrix on the big algebra
-    exp, cis, ctx = conjugated_d4(3)
+def tower_expectations(exp, cis, ctx) -> dict:
+    """E, E1, and every F_P and E|_P of a tower, by name."""
     named = {"E": exp, "E1": ctx.dual}
     for i, ci in enumerate(cis):
         named[f"F_P{i}"], named[f"E|_P{i}"] = ci.F, ci.E_restricted
-    for name, e in named.items():
+    return named
+
+
+def test_state_min_eigenvalue_is_each_gram_floor():
+    # on every expectation of the tower the density's least eigenvalue is the
+    # least eigenvalue of the state's Gram matrix on the big algebra
+    for name, e in tower_expectations(*conjugated_d4(3)).items():
         gram = e.state_gram(e.big, e.big)
         floor = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[0]
         assert abs(_state_min_eigenvalue(e) - floor) < 1e-12, name
+
+
+def test_bimodule_bound_below_eq_tol_on_each_expectation():
+    # the bound multiplies rounding by 2 n / lambda_min(G_BB); on towers with
+    # non-scalar B (E1, every F_P and E|_P, and C[S3] (x) M_2 over M_2) it must
+    # keep every true expectation below eq_tol
+    rep = sa.group_algebra(sa.symmetric(3))
+    exp = sa.trace_preserving(
+        sa.Inclusion(
+            big=sa.tensor_by_factor(rep.algebra, 2),
+            small=sa.tensor_by_factor(rep.subalgebra(sa.trivial(3)), 2),
+        )
+    )
+    subgroups = sa.intermediate_subgroups(sa.symmetric(3), sa.trivial(3))
+    proper = [m for m in subgroups if len(m) in (2, 3)]
+    cis = [sa.make_compatible(exp, sa.tensor_by_factor(rep.subalgebra(m), 2)) for m in proper]
+    towers = {"C[D4]": tower_expectations(*conjugated_d4(3))}
+    towers["C[S3] (x) M_2"] = tower_expectations(exp, cis, sa.AngleContext(exp))
+    for tower, named in towers.items():
+        for name, e in named.items():
+            assert sa.verify(e).bimodule < DEFAULT_TOLERANCES.eq_tol, (tower, name)
 
 
 pair_indices = st.integers(0, 7)

@@ -32,7 +32,7 @@ ONE_BATCH = 10**9
 def check_values(exp: sa.CondExpectation, stack: np.ndarray) -> dict:
     """Every batched residual on the expectation's big algebra and table."""
     out = dict(_axiom_residuals(exp, TOL))
-    out["bimodule violation"] = _bimodule_violation(exp, TOL)
+    out["bimodule violation"] = _bimodule_violation(exp)
     out["span residual"] = exp.big._max_span_residual(stack)
     out["product closure"] = exp.big._product_closure_residual()
     return out

