@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import algebra as alg
 from . import linalg
 from .algebra import Inclusion, StarAlgebra, commutant_within
 from .errors import ConstructionError
@@ -124,6 +123,11 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     ``e`` is ``jones_projection(E)``, and M1 is ``floor_algebra`` for E, its
     module basis and ``e``. ``dual_table``, the dual expectation's values on
     M1's basis, is read off the block factors that built M1's basis.
+
+    lambda(A) takes no closure check. ``lambda(a_i) = G^{1/2} L_i G^{-1/2}``,
+    with ``L_i`` left multiplication by ``a_i`` on A, so A's closure gives
+    ``lambda(a_i) lambda(a_j) = lambda(a_i a_j)``, and ``phi(x* a y) =
+    phi((a* x)* y)`` gives ``lambda(a)* = lambda(a*)``, to A's own residuals.
     """
     a, b = exp.big, exp.small
     d = a.dim
@@ -139,7 +143,8 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
 
     bc = BasicConstruction(exp, module, index, gram_sqrt, gram_inv_sqrt)
     bc.e_proj = bc.jones_projection(exp, tol)
-    bc.lambda_algebra = alg.from_span(d, list(bc.lambda_stack), tol)
+    lambda_basis = linalg.orthonormal_span(bc.lambda_stack, tol)
+    bc.lambda_algebra = StarAlgebra._closed_by_construction(d, lambda_basis, tol)
     bc.m1, u, s, keep = floor_algebra(bc, exp, module, bc.e_proj, tol)
     m, m_h = module.elements, np.conj(module.elements.transpose(0, 2, 1))
     pre = bc.index.inverse() @ m[:, None] @ b.basis[None]
@@ -168,6 +173,19 @@ def floor_algebra(
     algebra's orthonormal basis; the span lies inside ``<lambda(A), proj>``
     and is checked to contain every ``lambda(a)`` and ``proj``, so the two
     are equal. Returns the algebra and the block factors ``u, s, keep``.
+
+    The second and third identities close the span, so it takes no closure
+    check (``StarAlgebra._closed_by_construction``). With lambda a
+    *-homomorphism (``build``), F's values in S (``apply_many``) and
+    ``x_jk(s) = lambda(m_j s) proj lambda(m_k)*``, the second gives
+    ``x_jk(s) x_j'k'(s') = x_jk'(s F(m_k* m_j' s'))``, and lambda(S)
+    commuting with ``proj`` gives ``x_jk(s)* = x_kj(s*)``. In floating point
+    a product is off the pair span by ``lambda(m_j s) R lambda(m_k')*``, R the
+    second identity's defect on ``m_k* m_j' s'``, an adjoint by
+    ``lambda(m_k) [proj, lambda(s*)] lambda(m_j)*``, and the ``_block_svd`` cut
+    moves ``x_jk(s)`` by at most ``rank_tol s_max |coords(s)|``, for the
+    largest singular value ``s_max``. A basis element is one block's pair
+    elements over a kept singular value, so basis pairs see these over two.
     """
     a, small = bc.source.big, f.small
     fix = max(float(np.linalg.norm(proj @ bc.phi(x) - bc.phi(x))) for x in small.basis)
@@ -194,9 +212,9 @@ def floor_algebra(
     if cover_err > tol.eq_tol:
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
-    # unbound, so the family is freed before the algebra's closure checks run
+    # unbound, so the family is freed before the basis is checked
     basis, u, s, keep = _block_svd(_pair_blocks(lam_m, lam_s, proj), tol)
-    algebra = StarAlgebra(bc.rep_dim, basis, tol)
+    algebra = StarAlgebra._closed_by_construction(bc.rep_dim, basis, tol)
     contains = algebra._max_span_residual(np.concatenate([bc.lambda_stack, proj[None]]))
     if contains > tol.eq_tol:
         raise ConstructionError("M1 contains lambda(A) and e", contains)

@@ -61,10 +61,10 @@ def _parse_matrix(raw, dim: int, label: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(map(_is_finite_number, entry))
             ):
                 raise ValidationError(
-                    f"{label}: entry ({i},{j}) must be a [re, im] pair"
+                    f"{label}: entry ({i},{j}) must be a [re, im] pair of finite numbers"
                 )
             mat[i, j] = complex(entry[0], entry[1])
     return mat
@@ -77,9 +77,14 @@ def _cycle_list(spec: dict, key: str, degree: int) -> list[groups.Perm]:
     return [groups.parse_cycles(text, degree) for text in raw]
 
 
+def _is_finite_number(value) -> bool:
+    # JSON's true is an int to Python, and its NaN and Infinity are floats
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _number(options: dict, key: str, default: float) -> float:
     value = options.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise ValidationError(f"options.{key} must be a finite number")
     return float(value)
 

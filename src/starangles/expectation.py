@@ -111,6 +111,8 @@ def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
     a, b = exp.big, exp.small
     if exp.values.shape != (a.dim, a.ambient_dim, a.ambient_dim):
         raise ArgumentError("value table shape does not match the big algebra")
+    if not np.isfinite(exp.values).all():
+        raise ArgumentError("value table has a non-finite entry")
     eq, entries = tol.eq_tol, a.ambient_dim**2
 
     def worst(count: int, residual) -> float:  # max_op_norm of residual(part), batch by batch
@@ -265,7 +267,7 @@ class ExpectationReport:
 
 
 def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> ExpectationReport:
-    """Diagnostic report on an expectation; never raises."""
+    """Diagnostic report on an expectation; raises only on a malformed value table."""
     a = exp.big
     axioms = dict(_axiom_residuals(exp, tol))
     state_floor = _state_min_eigenvalue(exp)

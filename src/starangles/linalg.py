@@ -62,12 +62,14 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting empty or ragged input."""
+    """Coerce to a square complex matrix, rejecting empty, ragged or non-finite input."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionError("matrix is empty")
+    if not np.isfinite(a).all():
+        raise ArgumentError("matrix has a non-finite entry")
     return a
 
 

@@ -130,6 +130,21 @@ def bimodule_residual(exp: sa.CondExpectation) -> float:
     return worst
 
 
+def closure_residuals(algebra: sa.StarAlgebra) -> tuple[float, float]:
+    """Largest normalized Hilbert-Schmidt distance to the span from every basis
+    adjoint, and from every basis-pair product ``a_i a_j``: the exhaustive oracle
+    for the algebras the library builds without a closure check."""
+    n = algebra.ambient_dim
+    onb = algebra.basis.reshape(algebra.dim, -1) / np.sqrt(n)  # orthonormal rows
+
+    def residual(stack: np.ndarray) -> float:
+        rows = stack.reshape(len(stack), -1) / np.sqrt(n)
+        return float(np.linalg.norm(rows - (rows @ np.conj(onb).T) @ onb, axis=1).max())
+
+    adjoints = residual(np.conj(np.swapaxes(algebra.basis, 1, 2)))
+    return adjoints, max(residual(a @ algebra.basis) for a in algebra.basis)
+
+
 def full_matrix_algebra(n: int) -> sa.StarAlgebra:
     units = np.zeros((n * n, n, n), dtype=complex)
     for i in range(n):

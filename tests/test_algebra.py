@@ -8,6 +8,7 @@ from starangles.errors import ArgumentError, ContainmentError
 from starangles.linalg import adjoint, op_norm
 
 from conftest import (
+    closure_residuals,
     conjugacy_classes,
     full_matrix_algebra,
     random_matrix,
@@ -63,6 +64,20 @@ class TestStarAlgebraInvariants:
     def test_non_closed_span_rejected(self):
         with pytest.raises(sa.ConstructionError):
             sa.StarAlgebra(2, np.stack([np.eye(2, dtype=complex), E12]) )
+
+    def test_product_closure_checked_on_every_pair(self):
+        # a *-closed span of dim 49 in M_50 holding the unit, where only the pair (1, 1)
+        # leaves it: x^2 = 25(E11 + E22) lies 2.89 off, and a sample of pairs can miss it
+        n = 50
+        units = np.zeros((n, n, n), dtype=complex)
+        units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+        first = np.sqrt(n / 3) * units[:3].sum(axis=0)
+        x = 5.0 * (units[0] - units[1])
+        basis = np.concatenate([np.stack([first, x]), np.sqrt(n) * units[3:]])
+        with pytest.raises(sa.ConstructionError) as err:
+            sa.StarAlgebra(n, basis)
+        assert err.value.prop == "product closure"
+        assert err.value.residual == pytest.approx(np.sqrt(25 / 3), rel=1e-12)
 
     def test_contains_reports_orthogonal_residual(self):
         alg = sa.from_generators(2, [SIGMA_X])
@@ -257,6 +272,12 @@ class TestTensorByFactor:
         with pytest.raises(ArgumentError):
             sa.tensor_by_factor(full_matrix_algebra(2), 0)
 
+    def test_closed_on_every_pair(self):
+        # built without a closure check: C[D4] (x) M_2 is closed as C[D4] is
+        tensored = sa.tensor_by_factor(sa.group_algebra(sa.dihedral(4)).algebra, 2)
+        assert tensored.dim == 32
+        assert max(closure_residuals(tensored)) < sa.DEFAULT_TOLERANCES.eq_tol
+
 
 class TestRelativeCommutant:
     def test_commutant_of_scalars_is_everything(self):
@@ -337,3 +358,34 @@ class TestGroupAction:
         flip = sa.parse_cycles("(1 2)", 2)
         with pytest.raises(ArgumentError):
             sa.action_from_generators(sa.closure(2, [flip]), {flip: 2.0 * SIGMA_X})
+
+
+def non_finite_calls(bad: complex) -> dict:
+    """Each library entry point handed a matrix with one non-finite entry."""
+    m = np.diag([bad, 1.0]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    flip = sa.parse_cycles("(1 2)", 2)
+    c2 = sa.closure(2, [flip])
+    inc = sa.Inclusion(big=full_matrix_algebra(2), small=scalar_algebra(2))
+    values = sa.trace_preserving(inc).values.copy()
+    values[1, 0, 0] = bad
+    return {
+        "as_square_matrix": lambda: sa.linalg.as_square_matrix(m),
+        "StarAlgebra": lambda: sa.StarAlgebra(2, np.stack([eye, m])),
+        "from_span": lambda: sa.from_span(2, [eye, m]),
+        "from_generators": lambda: sa.from_generators(2, [m]),
+        "commutant_within": lambda: sa.algebra.commutant_within(full_matrix_algebra(2), [m]),
+        "contains": lambda: full_matrix_algebra(2).contains(m),
+        "action_from_generators": lambda: sa.action_from_generators(c2, {flip: m}),
+        "GroupAction": lambda: sa.GroupAction(c2, {g: eye if g != flip else m for g in c2.elements}),
+        "expectation_from_values": lambda: sa.expectation_from_values(inc, values),
+        "verify": lambda: sa.verify(sa.CondExpectation(inclusion=inc, values=values)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", list(non_finite_calls(0.0)))
+def test_non_finite_matrix_rejected(entry, bad):
+    # rejected before any arithmetic, so numpy warns of no invalid value
+    with pytest.raises(ArgumentError, match="non-finite"):
+        non_finite_calls(bad)[entry]()

@@ -7,6 +7,7 @@ from starangles.errors import ArgumentError, ConstructionError
 from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
 from conftest import (
+    closure_residuals,
     full_matrix_algebra,
     permuted,
     random_matrix,
@@ -85,6 +86,17 @@ class TestBuild:
         for bc in (s3_over_swap[-1], tensored):
             generated = sa.from_generators(bc.rep_dim, list(bc.lambda_stack) + [bc.e_proj])
             assert sa.same_span(bc.m1, generated)
+        # the tower's tensor factors, lambda(A) and M1 are certified, not checked on pairs
+        for algebra in (big, small, tensored.lambda_algebra, tensored.m1):
+            assert max(closure_residuals(algebra)) < DEFAULT_TOLERANCES.eq_tol
+
+    def test_certified_algebras_closed_on_every_pair(self, all_suites):
+        # lambda(A), M1 and every P1 take no closure check: the exhaustive oracle agrees
+        for suite in all_suites:
+            ctx = suite.ctx
+            floors = [ctx.first_floor(ci).P for ci in suite.compat]
+            for algebra in (ctx.bc.lambda_algebra, ctx.bc.m1, *floors):
+                assert max(closure_residuals(algebra)) < DEFAULT_TOLERANCES.eq_tol, suite.name
 
     def test_m1_dimension_closed_form(self, all_suites):
         # Jones: dim M1 = |G| [G:H] for C[H] inside C[G]

@@ -122,23 +122,45 @@ class TestBatchBoundaries:
         assert raised[1][1] == pytest.approx(raised[0][1], rel=1e-12)
 
 
-class TestClosureCoverage:
-    def test_exhaustive_on_small_algebras(self, suite_s3):
-        a = suite_s3.algebra
-        assert a.product_coverage == (36, 36)
-        assert a.adjoint_coverage == (6, 6)
+class TestClosureDecision:
+    def test_every_pair_checked_on_a_group_algebra(self, monkeypatch):
+        # C[S3]: after the unit and the 6 adjoints, all 36 products a_i a_j, left factor first
+        basis = sa.group_algebra(sa.symmetric(3)).algebra.basis
+        checked = []
+        span_residual = sa.StarAlgebra._max_span_residual
 
-    def test_sampled_on_s4_m1(self):
+        def spy(algebra, stack):
+            checked.append(stack.reshape(-1, *stack.shape[-2:]))
+            return span_residual(algebra, stack)
+
+        monkeypatch.setattr(sa.StarAlgebra, "_max_span_residual", spy)
+        sa.StarAlgebra(6, basis)
+        seen = np.concatenate(checked)
+        assert len(seen) == 1 + 6 + 36
+        np.testing.assert_array_equal(seen[1:7], np.conj(np.swapaxes(basis, 1, 2)))
+        np.testing.assert_array_equal(seen[7:], (basis[:, None] @ basis[None]).reshape(36, 6, 6))
+
+    def test_s4_m1_built_without_a_closure_check(self, monkeypatch):
         rep = sa.group_algebra(sa.symmetric(4))
         inc = sa.Inclusion(big=rep.algebra, small=rep.subalgebra(sa.trivial(4)))
-        m1 = basic.build(sa.trace_preserving(inc)).m1
-        assert m1.product_coverage == (753, 331_776)
-        assert m1.adjoint_coverage == (256, 576)
+        exp = sa.trace_preserving(inc)
+        checked = []
+        product_closure = sa.StarAlgebra._product_closure_residual
+
+        def spy(algebra):
+            checked.append(algebra.dim)
+            return product_closure(algebra)
+
+        monkeypatch.setattr(sa.StarAlgebra, "_product_closure_residual", spy)
+        bc = basic.build(exp)
+        assert (bc.m1.dim, bc.lambda_algebra.dim) == (576, 24)
+        # only the relative commutant of e in lambda(A), lambda(C) = C, is checked on all pairs
+        assert checked == [1]
 
 
 def test_closure_check_memory_is_bounded():
-    # 64 orthonormal diagonal units in M_64, the shape of lambda(M1) one floor up
-    # on C[D4]; with its 953 sampled products in one stack the check took 367 MB
+    # 64 orthonormal diagonal units in M_64, the shape of lambda(M1) one floor up on
+    # C[D4]: all 4096 products are checked, and in one stack they alone would take 256 MiB
     n = 64
     units = np.zeros((n, n, n), dtype=complex)
     units[np.arange(n), np.arange(n), np.arange(n)] = np.sqrt(n)
