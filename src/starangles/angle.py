@@ -87,7 +87,7 @@ class AngleContext:
     built once: by the basic construction when it is built first, as when
     both routes run, or alone for the quasi-basis route. An intermediate is
     admitted once, when first seen on either route or floor: it must have
-    been built for this context's inclusion. Per intermediate,
+    been built for this context's expectation. Per intermediate,
     each computed on first use: the restricted module basis and index
     (quasi-basis route), the Jones projection (``bc.jones_projection``, the
     map that gives ``e``), ``z_P = e_P - e`` with the
@@ -149,8 +149,10 @@ class AngleContext:
 
     def _cache(self, ci: CompatibleIntermediate) -> dict:
         """The intermediate's cache, made when it is first seen and admitted:
-        its expectation maps this context's A onto it, and its restriction
-        maps it onto this context's B."""
+        its expectation maps this context's A onto it, its restriction maps it
+        onto this context's B, and the two compose to this context's E,
+        ``E|_P(F(a_s)) = E(a_s)`` on the basis of A that F's table is indexed
+        by, so it was built for this E."""
         cache = self._per_intermediate.get(id(ci))
         if cache is None:
             exp, tol = self.expectation, self.tol
@@ -159,6 +161,9 @@ class AngleContext:
                 and same_span(ci.E_restricted.small, exp.small, tol)
             ):
                 raise ArgumentError("intermediate was built for a different inclusion")
+            drift = ci._composition_residual(exp, tol)
+            if drift >= tol.eq_tol:
+                raise ArgumentError(f"intermediate was built for another expectation ({drift:.3e})")
             cache = self._per_intermediate[id(ci)] = {"ci": ci}
         return cache
 
@@ -175,15 +180,13 @@ class AngleContext:
         return cache["index"]
 
     def jones_projection(self, ci: CompatibleIntermediate) -> np.ndarray:
-        """``e_P``, the Jones projection of ``F_P``, checked to absorb ``e``:
-        ``e_P e = e = e e_P``."""
+        """``e_P``, the Jones projection of ``F_P``. It absorbs ``e``,
+        ``e_P e = e = e e_P``: admission checks ``E|_P o F = E``, which is
+        ``e e_P = e``, and ``e_P`` is checked self-adjoint; ``jones_difference``
+        checks ``e_P - e`` to be a projection, which holds only if ``e <= e_P``."""
         cache = self._cache(ci)
         if "jones" not in cache:
-            e, e_p = self.bc.e_proj, self.bc.jones_projection(ci.F, self.tol)
-            absorb = max(op_norm(e_p @ e - e), op_norm(e @ e_p - e))
-            if absorb > self.tol.eq_tol:
-                raise InvariantError(f"e_P e = e = e e_P fails ({absorb:.3e})")
-            cache["jones"] = e_p
+            cache["jones"] = self.bc.jones_projection(ci.F, self.tol)
         return cache["jones"]
 
     def jones_difference(self, ci: CompatibleIntermediate) -> np.ndarray:

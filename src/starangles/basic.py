@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .algebra import Inclusion, StarAlgebra, commutant_within
 from .errors import ConstructionError
-from .expectation import CondExpectation, _verify_expectation_axioms, _verify_faithful_state
+from .expectation import CondExpectation, _verify_faithful_state
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, max_op_norm, op_norm
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
@@ -277,14 +277,49 @@ def _minimum_norm_table(
 def dual_expectation(
     bc: BasicConstruction, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CondExpectation:
-    """The dual expectation ``E1: M1 -> lambda(A)``, with its axioms verified.
+    """The dual expectation ``E1: M1 -> lambda(A)``,
+    ``lambda(x) e lambda(y)* -> lambda(Ind^{-1} x y*)`` (Watatani, Mem. AMS 424,
+    1990), certified by identities that ``build`` has checked; only its state's
+    faithfulness is checked here.
 
-    Its value table is lambda of ``dual_table``, the minimum-norm extension
-    of ``lambda(x) e lambda(y) -> index^{-1} x y`` on M1's basis.
+    Its table is lambda of ``dual_table``, the minimum-norm extension of that
+    prescription on the pair family ``x_jk(s) = lambda(m_j s) e lambda(m_k)*``.
+    ``_minimum_norm_table``'s consistency check, block by block as the
+    compression identity ``e lambda(a) e = lambda(E(a)) e`` makes the pair
+    blocks orthogonal, makes it a linear map T on M1. The module basis is an
+    exact quasi-basis, ``x = sum_i m_i E(m_i* x)`` (``orthonormal_basis``),
+    and lambda(B) commutes with e (``floor_algebra``'s relative commutant), so
+    ``lambda(x) e lambda(y)* = sum_ik x_ik(E(m_i* x) E(m_k* y)*)`` and
+    ``T(lambda(x) e lambda(y)*) = Ind^{-1} x y*`` for all x, y in A.
+    ``watatani_index`` has checked that Ind is self-adjoint, central and
+    invertible. The six axioms follow one at a time:
+
+    - range: the values are lambda of A-coordinates (``lambda_many``);
+    - fixes lambda(A): by the cover identity ``sum_j lambda(m_j) e
+      lambda(m_j)* = 1`` (``floor_algebra``),
+      ``lambda(a) = sum_j lambda(a m_j) e lambda(m_j)* -> lambda(Ind^{-1} a Ind)
+      = lambda(a)``, as Ind is central;
+    - unitality and idempotency follow from range and fixes, as
+      ``1 = lambda(1)``;
+    - adjoint: ``lambda(y) e lambda(x)* -> lambda(Ind^{-1} y x*)``, which is
+      ``lambda(Ind^{-1} x y*)*`` as Ind is self-adjoint and central;
+    - bimodule: ``lambda(a) lambda(x) e lambda(y)* = lambda(a x) e lambda(y)*``
+      and ``Ind`` central give ``E1(lambda(a) z) = lambda(a) E1(z)``, and the
+      right side alike, with lambda a *-homomorphism (``build``).
+
+    With the six axioms, ``lambda_min(rho) > rank_tol`` decides that E1 is
+    positive and faithful (``expectation._state_min_eigenvalue``). In floating
+    point each axiom holds to the residuals checked: the module basis'
+    reconstruction residual and the cover identity's enter "fixes" times
+    ``|a|``; the consistency residual and the ``_block_svd`` cut, which moves
+    a family member by at most ``rank_tol s_max`` times its coordinates, bound
+    how far T is from the prescription on the family; Ind's self-adjointness
+    and centrality residuals, times ``|Ind^{-1}| = 1 / lambda_min(Ind)``,
+    enter "adjoint", "bimodule" and "fixes".
     """
     dual = CondExpectation(
         inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra, tol=tol),
         values=bc.lambda_many(bc.dual_table),
     )
-    _verify_expectation_axioms(dual, tol)
+    _verify_faithful_state(dual, tol)
     return dual

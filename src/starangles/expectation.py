@@ -11,12 +11,18 @@ the Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
 The compatible expectation onto an intermediate is the ``phi``-orthogonal
 projection onto it.
 
-Every expectation built passes one check: six algebraic axioms, then the
-exact test ``lambda_min(rho) > rank_tol``, which with them decides that E is
-positive and faithful (``_state_min_eigenvalue``). The bimodule axiom is
-decided from two defect matrices of that state, which vanish exactly for a
-bimodule map and bound every module residual (``_bimodule_violation``); none
-of these checks samples. Each residual is a maximum over ``linalg.batches``.
+Each expectation is certified by the theorem that defines it.
+``trace_preserving`` is an expectation by construction, ``make_compatible``
+decides compatibility by Takesaki's modular criterion, and the dual of a basic
+construction (``basic.dual_expectation``) follows from Watatani's identities,
+which the builder has already checked. Only a value table from outside
+(``expectation_from_values``) runs the six-axiom engine: six algebraic axioms,
+then the exact test ``lambda_min(rho) > rank_tol``, which with them decides
+that E is positive and faithful (``_state_min_eigenvalue``). The bimodule
+axiom is decided from two defect matrices of that state, which vanish exactly
+for a bimodule map and bound every module residual (``_bimodule_violation``);
+none of these checks samples. ``verify`` reports the same residuals for any
+expectation. Each residual is a maximum over ``linalg.batches``.
 """
 
 from __future__ import annotations
@@ -222,12 +228,18 @@ def _bimodule_violation(exp: CondExpectation) -> float:
 
 
 def trace_preserving(inc: Inclusion, tol: Tolerances = DEFAULT_TOLERANCES) -> CondExpectation:
-    """Trace-preserving expectation: HS-orthogonal projection onto the span."""
+    """Trace-preserving expectation: the Hilbert-Schmidt orthogonal projection
+    onto B, an expectation by construction.
+
+    It is ``make_compatible``'s theorem for the trace, ``rho = 1``: the modular
+    group is trivial, so the trace-preserving expectation onto the unital
+    *-subalgebra B exists, is unique, and is the trace-orthogonal projection.
+    Its values lie in span(B) by construction, as coordinates times B's basis,
+    and its state ``tr / n`` is faithful; no check runs, and ``tol`` is unused.
+    """
     overlaps = inc.small.coords_many(inc.big.basis)  # (dimA, dimB)
     values = np.tensordot(overlaps, inc.small.basis, axes=(1, 0))
-    exp = CondExpectation(inclusion=inc, values=values)
-    _verify_expectation_axioms(exp, tol)
-    return exp
+    return CondExpectation(inclusion=inc, values=values)
 
 
 def expectation_from_values(
@@ -235,7 +247,9 @@ def expectation_from_values(
     values: Sequence[np.ndarray] | np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CondExpectation:
-    """Custom expectation from its values on the big algebra's basis."""
+    """Custom expectation from its values on the big algebra's basis, checked by
+    the six-axiom engine and the state's faithfulness: the one table here that
+    no theorem certifies."""
     exp = CondExpectation(inclusion=inc, values=np.asarray(values, dtype=complex))
     _verify_expectation_axioms(exp, tol)
     return exp
@@ -245,7 +259,7 @@ def expectation_from_values(
 class ExpectationReport:
     """Maximal violations found while checking an expectation's axioms.
 
-    The six algebraic residuals are those of the construction-time check
+    The six algebraic residuals are those ``expectation_from_values`` checks
     (norms as in ``_axiom_residuals``; ``bimodule`` bounds every module equation
     on basis pairs, by ``_bimodule_violation``'s lemma). ``state_symmetry``
     is the largest ``|phi(E(a_s)* a_t) - phi(a_s* E(a_t))|`` over basis
@@ -296,11 +310,37 @@ def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> Expect
 
 @dataclass(frozen=True)
 class CompatibleIntermediate:
-    """Intermediate ``P`` with ``E_restricted o F = E`` (compatibility)."""
+    """Intermediate ``B in P in A`` with its compatible expectation ``F: A -> P``,
+    ``E_restricted o F = E``, and ``E_restricted``, the restriction of E to P.
+
+    ``make_compatible`` builds both from Takesaki's theorem; neither table
+    runs the six-axiom engine, and ``verify`` is their diagnostic.
+    """
 
     P: StarAlgebra
     F: CondExpectation
     E_restricted: CondExpectation
+
+    def _composition_residual(self, exp: CondExpectation, tol: Tolerances) -> float:
+        """``max_s |E|_P(F(a_s)) - E(a_s)|`` over the basis ``a_s`` that F's table is
+        indexed by, as ``max_op_norm`` decides it against ``eq_tol``. The map is
+        linear, so on a basis of ``exp``'s big algebra this decides ``E|_P o F = E``."""
+        e_p, f, a = self.E_restricted, self.F, self.F.big
+        return max(
+            max_op_norm(e_p.apply_many(f.values[s]) - exp.apply_many(a.basis[s]), tol.eq_tol)
+            for s in batches(a.dim, a.ambient_dim**2)
+        )
+
+
+def _modular_residual(exp: CondExpectation, p: StarAlgebra, tol: Tolerances) -> float:
+    """``max_s dist([log rho, p_s], P)`` over P's basis (normalized Hilbert-Schmidt
+    distance, ``StarAlgebra._max_span_residual``), for the density ``rho`` of the
+    state ``phi`` induced by ``exp``, checked faithful first."""
+    _verify_faithful_state(exp, tol)
+    rho_star = exp._density_adjoint()
+    w, v = np.linalg.eigh((rho_star + adjoint(rho_star)) / 2.0)
+    log_rho = (v * np.log(w)) @ adjoint(v)
+    return p._max_span_residual(log_rho @ p.basis - p.basis @ log_rho)
 
 
 def make_compatible(
@@ -308,40 +348,57 @@ def make_compatible(
     intermediate: StarAlgebra,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CompatibleIntermediate:
-    """Equip an intermediate subalgebra with its compatible expectation.
+    """Equip an intermediate subalgebra ``B in P in A`` with its compatible
+    expectation ``F``, decided by Takesaki's theorem (J. Funct. Anal. 9, 1972):
+    for a faithful state phi on A, a phi-preserving conditional expectation
+    onto P exists exactly when P is invariant under the modular group
+    ``Ad rho^{it}``, and it is then unique. Here ``phi = tr o E / n`` with
+    density ``rho`` in A, so ``Ad rho^{it}`` is phi's modular group.
 
-    The candidate ``F`` is the orthogonal projection of the big algebra
-    onto the intermediate for the state ``phi`` induced by the expectation
-    (for a trace-preserving expectation, the Hilbert-Schmidt projection).
-    Compatibility ``E|_P o F = E`` makes ``F`` preserve ``phi``, which
-    determines it, so failure of the verification means the intermediate
-    is not compatible.
+    The steps: the containment checks ``P in A`` and ``B in P``; ``E|_P`` by
+    restriction; the modular residual (``_modular_residual``), which raises
+    ``IncompatibilityError`` above ``eq_tol``; ``F = solve(G_PP, G_PA)``, the
+    phi-orthogonal projection onto P (``G = state_gram``); and the
+    composition residual ``|E|_P o F - E|`` on A's basis, the one numeric
+    check of the solve. The lemma that makes these enough:
+
+    - Any compatible F preserves phi, ``phi(F(x)) = tr(E(F(x))) / n =
+      tr(E(x)) / n``, so by the theorem's uniqueness it is the
+      phi-orthogonal projection: ``phi(p* F(x)) = phi(F(p* x)) = phi(p* x)``.
+      If the residual rejects P, no compatible expectation exists.
+    - In finite dimensions ``Ad rho^{it} = exp(it delta)`` for the generator
+      ``delta = [log rho, .]``, so P is invariant under the group exactly when
+      ``delta(P) in P``: one way by the exponential series, the other by
+      differentiating at ``t = 0``. ``delta`` is linear, so P's basis decides it.
+    - Then F is a phi-preserving expectation, and ``E|_P o F`` is one onto B
+      (``phi o E = phi`` by idempotency); so is E, and by uniqueness
+      ``E|_P o F = E``.
+    - ``E|_P`` keeps E's six axioms on the smaller domain ``B in P``, and its
+      state ``phi|_P`` is faithful as phi is.
+    - ``phi(x* x) = tr(x rho x*) / n`` lies between ``lambda_min(rho)`` and
+      ``|rho|`` times ``tr(x* x) / n``, and P's basis is orthonormal, so
+      ``G_PP >= lambda_min(rho) 1`` and the solve's condition number is at
+      most ``|rho| / lambda_min(rho)``.
+
+    E itself is taken to be an expectation (its constructors certify it);
+    only its state's faithfulness, the theorem's hypothesis, is checked here.
     """
-    a, b = exp.big, exp.small
-    p = intermediate
-    # both inclusions check containment, B in P second, before any axiom check
+    a, p = exp.big, intermediate
+    # both inclusions check containment, B in P second, before the modular residual
     into_big = Inclusion(big=a, small=p, tol=tol)
-    restricted = CondExpectation(
-        inclusion=Inclusion(big=p, small=b, tol=tol), values=exp.apply_many(p.basis)
-    )
-    # its state is phi on P, so this also checks that phi is faithful on P
-    _verify_expectation_axioms(restricted, tol)
+    onto_small = Inclusion(big=p, small=exp.small, tol=tol)
+    restricted = CondExpectation(inclusion=onto_small, values=exp.apply_many(p.basis))
+    modular = _modular_residual(exp, p, tol)
+    if modular > tol.eq_tol:
+        raise IncompatibilityError("intermediate is not invariant under the modular group", modular)
 
     coeffs = np.linalg.solve(exp.state_gram(p, p), exp.state_gram(p, a))  # (dimP, dimA)
-    f_values = np.tensordot(coeffs.T, p.basis, axes=(1, 0))
-    f = CondExpectation(inclusion=into_big, values=f_values)
-    try:
-        _verify_expectation_axioms(f, tol)
-    except ConstructionError as err:
-        raise IncompatibilityError(
-            f"projection onto the intermediate is not an expectation ({err.prop})",
-            err.residual,
-        ) from err
-
-    compat = max_op_norm(restricted.apply_many(f.values) - exp.values, tol.eq_tol)
+    f = CondExpectation(inclusion=into_big, values=np.tensordot(coeffs.T, p.basis, axes=(1, 0)))
+    ci = CompatibleIntermediate(P=p, F=f, E_restricted=restricted)
+    compat = ci._composition_residual(exp, tol)
     if compat >= tol.eq_tol:
         raise IncompatibilityError("tower composition does not reproduce E", compat)
-    return CompatibleIntermediate(P=p, F=f, E_restricted=restricted)
+    return ci
 
 
 def ind_p_estimate(

@@ -157,6 +157,15 @@ def scalar_algebra(n: int) -> sa.StarAlgebra:
     return sa.from_span(n, [np.eye(n, dtype=complex)])
 
 
+def state_expectation(lam: np.ndarray, q: np.ndarray) -> sa.CondExpectation:
+    """``E = tr(h .) 1`` from M_n onto the scalars, ``h = q diag(lam) q*``, unlabelled."""
+    n = len(lam)
+    h = (q * lam) @ np.conj(q).T
+    big = full_matrix_algebra(n)
+    values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
+    return sa.CondExpectation(sa.Inclusion(big=big, small=scalar_algebra(n)), values)
+
+
 def permuted(exp: sa.CondExpectation, perm) -> sa.CondExpectation:
     """``exp`` on its big algebra's basis stored in the order ``perm``: the greedy
     module basis sweeps the basis in that order."""

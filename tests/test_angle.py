@@ -12,7 +12,7 @@ from starangles.errors import ArgumentError, DegenerateDenominatorError, Invaria
 from starangles.expectation import _state_min_eigenvalue
 from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
-from conftest import random_unitary
+from conftest import full_matrix_algebra, random_unitary, scalar_algebra, state_expectation
 
 
 class TestInteriorAngle:
@@ -529,6 +529,23 @@ class TestAdmission:
         p, q = suite_d4_r2.compat[:2]
         with pytest.raises(ArgumentError, match="different inclusion"):
             sa.interior_angle(exp, p, q, path="quasibasis", ctx=sa.AngleContext(exp))
+
+    def test_intermediate_of_another_expectation_rejected(self):
+        # M_2 (x) 1 and diag (x) M_2 in M_4 over C are compatible with the product
+        # state h = diag(.8, .2) (x) diag(.7, .3) too, but their F is that state's,
+        # so E|_P o F is not the trace: both routes must refuse them
+        m2, eye = full_matrix_algebra(2).basis, np.eye(2)
+        p = sa.from_span(4, [np.kron(x, eye) for x in m2])
+        r = sa.from_span(4, [np.kron(np.diag(d), y) for d in eye for y in m2])
+        m4 = full_matrix_algebra(4)
+        trace = sa.trace_preserving(sa.Inclusion(big=m4, small=scalar_algebra(4)))
+        state = state_expectation(np.kron([0.8, 0.2], [0.7, 0.3]), np.eye(4, dtype=complex))
+        own = sa.interior_angle(trace, sa.make_compatible(trace, p), sa.make_compatible(trace, r))
+        assert own.cos_value == pytest.approx(1.0 / math.sqrt(21.0), abs=1e-12)
+        foreign = sa.make_compatible(state, p), sa.make_compatible(state, r)
+        for path in ("quasibasis", "definition"):
+            with pytest.raises(ArgumentError, match="another expectation"):
+                sa.interior_angle(trace, *foreign, path=path)
 
     def test_exterior_angle_rejects_another_expectations_context(self, suite_d4):
         exp = suite_d4.expectation

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import starangles as sa
 from starangles.errors import ConstructionError, ContainmentError, IncompatibilityError
-from starangles.expectation import _verify_expectation_axioms
-from starangles.linalg import adjoint, op_norm
+from starangles.expectation import _modular_residual, _verify_expectation_axioms
+from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
 
 from conftest import (
     bimodule_residual,
@@ -13,6 +13,7 @@ from conftest import (
     random_matrix,
     random_unitary,
     scalar_algebra,
+    state_expectation,
 )
 
 
@@ -177,6 +178,29 @@ class TestVerify:
         assert max(report.idempotency, report.bimodule, report.adjoint_preservation) < 1e-12
 
 
+@st.composite
+def states_with_intermediates(draw):
+    """A faithful density ``q diag(lam) q*`` on M_3 or M_4 and the span of an
+    intermediate: the block algebra of a partition of its eigenbasis, or the
+    block projections' span, either as it is (compatible) or conjugated by a
+    random unitary. The weights are whole numbers 1 to 4, so two are equal or
+    a ratio of at least 5/4 apart, and no example sits at the tolerance."""
+    n = draw(st.sampled_from([3, 4]))
+    lam = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_unitary(rng, n)
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        rows, cols = np.nonzero(labels[:, None] == labels[None, :])
+        span = [np.outer(q[:, i], np.conj(q[:, j])) for i, j in zip(rows, cols)]
+    else:
+        span = [q[:, labels == k] @ adjoint(q[:, labels == k]) for k in set(labels.tolist())]
+    if draw(st.booleans()):
+        u = random_unitary(rng, n)
+        span = [u @ x @ adjoint(u) for x in span]
+    return lam / lam.sum(), q, span
+
+
 class TestMakeCompatible:
     def test_intermediate_equal_to_small(self, suite_s3):
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.small)
@@ -215,13 +239,16 @@ class TestMakeCompatible:
         with pytest.raises(ContainmentError):
             sa.make_compatible(suite_s3.expectation, full_matrix_algebra(6))
 
-    def test_containment_checked_before_any_axiom(self, suite_s3, suite_d4_r2, monkeypatch):
+    def test_containment_checked_before_modular_residual_and_solve(
+        self, suite_s3, suite_d4_r2, monkeypatch
+    ):
         from starangles import expectation as expectation_module
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("axiom check ran before the containment check")
+            raise AssertionError("modular residual or solve ran before the containment check")
 
-        monkeypatch.setattr(expectation_module, "_verify_expectation_axioms", unreachable)
+        monkeypatch.setattr(expectation_module, "_modular_residual", unreachable)
+        monkeypatch.setattr(sa.CondExpectation, "state_gram", unreachable)
         with pytest.raises(ContainmentError):  # P not inside A
             sa.make_compatible(suite_s3.expectation, full_matrix_algebra(6))
         reflection = sa.closure(4, [sa.parse_cycles("(1 3)", 4)])
@@ -250,6 +277,83 @@ class TestMakeCompatible:
         with pytest.raises(IncompatibilityError):
             sa.make_compatible(exp, off_diag)
 
+    def test_six_m3_intermediates_decided_by_the_modular_residual(self):
+        # phi = tr(h .) with h = diag(0.6, 0.3, 0.1): P is compatible exactly when
+        # [log rho, P] lies in P (Takesaki); on the other three it is far outside
+        exp = state_expectation(np.array([0.6, 0.3, 0.1]), np.eye(3, dtype=complex))
+        units = np.eye(9, dtype=complex).reshape(3, 3, 3, 3)  # units[i, j] = e_ij
+        masa = [units[i, i] for i in range(3)]
+        corner = [units[i, j] for i in range(2) for j in range(2)] + [units[2, 2]]
+        u = random_unitary(np.random.default_rng(4), 3)
+        v = np.eye(3, dtype=complex)
+        v[:2, :2] = random_unitary(np.random.default_rng(4), 2)
+        compatible = {
+            "diagonal masa": masa,
+            "span{1, e11}": [np.eye(3), units[0, 0]],
+            "M_2 + C": corner,
+        }
+        incompatible = {
+            "span{1, U e11 U*}": [np.eye(3), u @ units[0, 0] @ adjoint(u)],
+            "span{1, V e11 V*}, V in the corner": [np.eye(3), v @ units[0, 0] @ adjoint(v)],
+            "U (M_2 + C) U*": [u @ x @ adjoint(u) for x in corner],
+        }
+        for name, span in compatible.items():
+            ci = sa.make_compatible(exp, sa.from_span(3, span))
+            assert sa.verify(ci.F).passed, name
+        for name, span in incompatible.items():
+            with pytest.raises(IncompatibilityError, match="modular group") as err:
+                sa.make_compatible(exp, sa.from_span(3, span))
+            assert err.value.residual > 0.5, name
+
+    @settings(max_examples=60)  # about one example in five is incompatible
+    @given(states_with_intermediates())
+    def test_modular_decision_agrees_with_the_oracle(self, case):
+        # the oracle: the phi-orthogonal projection onto P, from phi's Gram
+        # matrices summed directly, passes verify exactly when P is compatible
+        lam, q, span = case
+        n = len(lam)
+        exp = state_expectation(lam, q)
+        p = sa.from_span(n, span)
+        h = (q * lam) @ adjoint(q)
+
+        def gram(rows, cols):
+            return np.array([[np.trace(h @ adjoint(x) @ y) for y in cols] for x in rows])
+
+        coeffs = np.linalg.solve(gram(p.basis, p.basis), gram(p.basis, exp.big.basis))
+        projection = sa.CondExpectation(
+            sa.Inclusion(big=exp.big, small=p), np.tensordot(coeffs.T, p.basis, axes=(1, 0))
+        )
+        modular = _modular_residual(exp, p, DEFAULT_TOLERANCES)
+        assert (modular <= DEFAULT_TOLERANCES.eq_tol) == sa.verify(projection).passed
+        if modular <= DEFAULT_TOLERANCES.eq_tol:
+            ci = sa.make_compatible(exp, p)
+            assert np.abs(ci.F.values - projection.values).max() < 1e-10
+        else:
+            with pytest.raises(IncompatibilityError) as err:
+                sa.make_compatible(exp, p)
+            assert err.value.residual == modular
+
+
+class TestDerivedExpectationsPassTheOracle:
+    """Expectations certified by a theorem, not by the six-axiom engine, pass ``verify``."""
+
+    def test_every_suite(self, all_suites):
+        for suite in all_suites:
+            named = {"E": suite.expectation, "E1": suite.ctx.dual}
+            for i, ci in enumerate(suite.compat):
+                named[f"F_P{i}"], named[f"E|_P{i}"] = ci.F, ci.E_restricted
+            for name, exp in named.items():
+                assert sa.verify(exp).passed, (suite.name, name)
+
+    def test_d4_upper_floor(self, suite_d4):
+        ctx = suite_d4.ctx
+        named = {"E2": ctx.upper.dual}
+        for i, ci in enumerate(suite_d4.compat):
+            floor = ctx.first_floor(ci)
+            named[f"F_P{i}1"], named[f"E1|_P{i}1"] = floor.F, floor.E_restricted
+        for name, exp in named.items():
+            assert sa.verify(exp).passed, name
+
 
 @st.composite
 def faithful_states(draw, sizes=st.integers(2, 4)):
@@ -258,15 +362,6 @@ def faithful_states(draw, sizes=st.integers(2, 4)):
     weights = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
     q = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     return weights / weights.sum(), q
-
-
-def state_expectation(lam: np.ndarray, q: np.ndarray) -> sa.CondExpectation:
-    """``E = tr(h .) 1`` from M_n onto the scalars, ``h = q diag(lam) q*``, unlabelled."""
-    n = len(lam)
-    h = (q * lam) @ adjoint(q)
-    big = full_matrix_algebra(n)
-    values = np.stack([np.trace(h @ x) * np.eye(n, dtype=complex) for x in big.basis])
-    return sa.CondExpectation(sa.Inclusion(big=big, small=scalar_algebra(n)), values)
 
 
 def skewed_diagonal(n: int, c: float) -> sa.CondExpectation:
