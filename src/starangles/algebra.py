@@ -82,8 +82,13 @@ class StarAlgebra:
         self.basis = stack
         self._flat = stack.reshape(stack.shape[0], -1)
         self.basis.setflags(write=False)
-        parts = linalg.batches(self.dim, self.ambient_dim**2)
-        gram = np.concatenate([self.coords_many(self._flat[p]) for p in parts])  # transposed
+        # the Gram <a_i, a_j> is Hermitian: each batch of rows is taken against its own
+        # and the later columns only, and the lower triangle is mirrored from it
+        gram = np.empty((self.dim, self.dim), dtype=complex)
+        for p in linalg.batches(self.dim, self.ambient_dim**2):
+            block = np.conj(self._flat[p]) @ self._flat[p.start :].T / self.ambient_dim
+            gram[p, p.start :] = block
+            gram[p.stop :, p] = np.conj(block[:, p.stop - p.start :]).T
         gram_err = linalg.max_op_norm((gram - np.eye(self.dim))[None], tol.eq_tol)
         if gram_err > tol.eq_tol:
             raise ConstructionError("basis orthonormality", gram_err)

@@ -20,12 +20,15 @@ P in A (Watatani, 1990). It is the linear span of
 ``(j, k)`` are mutually orthogonal and the pair ``(j, k)`` spans a copy of
 ``p_j S p_k``, an orthogonal direct sum. One small thin SVD per pair gives
 the algebra's orthonormal basis, after the same four identities are
-checked for every floor. For M1 the same factors give the dual
-expectation's value table on that basis: the minimum-norm extension of
-``lambda(x) e lambda(y) -> index^{-1} x y``. The family itself is not kept;
-the dual is the ``CondExpectation`` with lambda of that table as its
-values, so one application of ``E1`` goes through lambda(A)'s coordinates
-like every other expectation of the tower.
+checked for every floor. The pairs are streamed in ``linalg.batches``:
+each batch's blocks are built, factored and written into one preallocated
+basis array, so the family is never held whole. For M1 the same factors
+give the dual expectation's values on that basis, read in A
+(``dual_table``): the minimum-norm extension of
+``lambda(x) e lambda(y) -> index^{-1} x y``. The dual is the
+``CondExpectation`` whose values are lambda of that table; like every
+expectation of the tower it keeps only their lambda(A)-coordinates, so one
+application of ``E1`` goes through lambda(A)'s coordinates.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     """Build the reduced basic construction and verify its identities.
 
     ``e`` is ``jones_projection(E)``, and M1 is ``floor_algebra`` for E, its
-    module basis and ``e``. ``dual_table``, the dual expectation's values on
-    M1's basis, is read off the block factors that built M1's basis.
+    module basis and ``e``. ``dual_table``, the elements of A whose lambda are
+    the dual expectation's values on M1's basis, is read off the block factors
+    that built M1's basis.
 
     lambda(A) takes no closure check. ``lambda(a_i) = G^{1/2} L_i G^{-1/2}``,
     with ``L_i`` left multiplication by ``a_i`` on A, so A's closure gives
@@ -168,11 +172,11 @@ def floor_algebra(
     B for S): ``proj`` fixes S's coordinates,
     ``proj lambda(a) proj = lambda(F(a)) proj``, the relative commutant of
     ``proj`` in lambda(A) is lambda(S), and
-    ``sum_j lambda(m_j) proj lambda(m_j)* = 1``. The pair blocks
-    (``_pair_blocks``) and their batched thin SVD (``_block_svd``) give the
-    algebra's orthonormal basis; the span lies inside ``<lambda(A), proj>``
-    and is checked to contain every ``lambda(a)`` and ``proj``, so the two
-    are equal. Returns the algebra and the block factors ``u, s, keep``.
+    ``sum_j lambda(m_j) proj lambda(m_j)* = 1``. The pair blocks and their
+    thin SVDs, streamed in batches (``_pair_basis``), give the algebra's
+    orthonormal basis; the span lies inside ``<lambda(A), proj>`` and is
+    checked to contain every ``lambda(a)`` and ``proj``, so the two are
+    equal. Returns the algebra and the block factors ``u, s, keep``.
 
     The second and third identities close the span, so it takes no closure
     check (``StarAlgebra._closed_by_construction``). With lambda a
@@ -182,7 +186,7 @@ def floor_algebra(
     commuting with ``proj`` gives ``x_jk(s)* = x_kj(s*)``. In floating point
     a product is off the pair span by ``lambda(m_j s) R lambda(m_k')*``, R the
     second identity's defect on ``m_k* m_j' s'``, an adjoint by
-    ``lambda(m_k) [proj, lambda(s*)] lambda(m_j)*``, and the ``_block_svd`` cut
+    ``lambda(m_k) [proj, lambda(s*)] lambda(m_j)*``, and the ``_pair_basis`` cut
     moves ``x_jk(s)`` by at most ``rank_tol s_max |coords(s)|``, for the
     largest singular value ``s_max``. A basis element is one block's pair
     elements over a kept singular value, so basis pairs see these over two.
@@ -212,8 +216,7 @@ def floor_algebra(
     if cover_err > tol.eq_tol:
         raise ConstructionError("sum of lambda(m_j) e lambda(m_j)* = 1", cover_err)
 
-    # unbound, so the family is freed before the basis is checked
-    basis, u, s, keep = _block_svd(_pair_blocks(lam_m, lam_s, proj), tol)
+    basis, u, s, keep = _pair_basis(lam_m, lam_s, proj, tol)
     algebra = StarAlgebra._closed_by_construction(bc.rep_dim, basis, tol)
     contains = algebra._max_span_residual(np.concatenate([bc.lambda_stack, proj[None]]))
     if contains > tol.eq_tol:
@@ -221,32 +224,52 @@ def floor_algebra(
     return algebra, u, s, keep
 
 
-def _pair_blocks(lam_m: np.ndarray, lam_s: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Block ``j * J + k``: ``lambda(m_j s_t) proj lambda(m_k)*`` over S's basis ``s_t``.
+def _pair_basis(lam_m: np.ndarray, lam_s: np.ndarray, proj: np.ndarray, tol: Tolerances):
+    """Orthonormal basis ``sqrt(d) vh`` of the span of the pair blocks
+    ``lambda(m_j s_t) proj lambda(m_k)*`` (block ``j * J + k``, over S's basis
+    ``s_t``), from each block's thin SVD ``u diag(s) vh`` truncated at
+    ``rank_tol`` times the largest ``s`` of all blocks (``keep``). Returns
+    ``(basis, u, s, keep)``.
 
     ``lam_m`` and ``lam_s`` are lambda of an orthonormal module basis of an
     expectation F onto S and of S's basis, ``proj`` is F's Jones projection.
     As ``proj lambda(a) proj = lambda(F(a)) proj`` and
-    ``F(m_j* m_j') = delta_jj' p_j``, blocks of different pairs are orthogonal.
+    ``F(m_j* m_j') = delta_jj' p_j``, blocks of different pairs are orthogonal,
+    so the blocks' SVDs together are the whole family's thin SVD. Each block's
+    SVD is independent of the others, so the pairs go through
+    ``linalg.batches``: a batch's blocks are built and factored, and their rows
+    written into one preallocated basis array. The blocks are products on views
+    of the two factors, written into one buffer that every batch reuses, so a
+    batch allocates only its SVD's output. The cut needs every block's singular
+    values, so rows it drops are taken out afterwards, by one copy of the kept
+    rows that frees the full array.
     """
+    count, size, d = len(lam_m), len(lam_s), proj.shape[0]  # J, dim S, d
     left = lam_m[:, None] @ lam_s[None]  # (j, t)
     right = proj @ np.conj(lam_m.transpose(0, 2, 1))  # (k,)
-    return (left[:, None] @ right[None, :, None]).reshape(-1, *left.shape[1:])
-
-
-def _block_svd(blocks: np.ndarray, tol: Tolerances):
-    """Orthonormal basis ``sqrt(d) vh`` of the span of mutually orthogonal
-    ``blocks`` (stacks of ``d x d`` matrices), from each block's thin SVD
-    ``u diag(s) vh`` truncated at ``rank_tol`` times the largest ``s`` of all
-    blocks (``keep``); orthogonal blocks make it the whole family's thin SVD.
-    Returns ``(basis, u, s, keep)``.
-    """
-    d = blocks.shape[-1]
-    # SVD of each block's tall transpose: blocks = vt^T diag(s) ut^T
-    flat = blocks.reshape(*blocks.shape[:2], d * d)
-    ut, s, vt = np.linalg.svd(np.swapaxes(flat, 1, 2), full_matrices=False)
+    basis = np.empty((count * count * size, d * d), dtype=complex)
+    vt = np.empty((count * count, size, size), dtype=complex)
+    s = np.empty((count * count, size))
+    buffer = None  # the first batch is the largest
+    for part in linalg.batches(count * count, d * d, size):
+        if buffer is None:
+            buffer = np.empty((part.stop - part.start, size, d, d), dtype=complex)
+        blocks = buffer[: part.stop - part.start]
+        # a batch is a run of pairs j * J + k: one product per j, on views of the factors
+        for j in range(part.start // count, (part.stop - 1) // count + 1):
+            lo, hi = max(part.start, j * count), min(part.stop, (j + 1) * count)
+            np.matmul(
+                left[j], right[lo - j * count : hi - j * count, None],
+                out=blocks[lo - part.start : hi - part.start],
+            )
+        # SVD of each block's tall transpose: blocks = vt^T diag(s) ut^T
+        flat = np.swapaxes(blocks.reshape(-1, size, d * d), 1, 2)
+        ut, s[part], vt[part] = np.linalg.svd(flat, full_matrices=False)
+        rows = slice(part.start * size, part.stop * size)
+        basis[rows].reshape(-1, size, d * d)[:] = np.swapaxes(ut, 1, 2)
     keep = s > tol.rank_tol * s.max()
-    basis = np.swapaxes(ut, 1, 2)[keep]  # a copy, scaled in place: the largest array here
+    if not keep.all():
+        basis = basis[keep.ravel()]
     basis *= np.sqrt(d)
     return basis.reshape(-1, d, d), np.swapaxes(vt, 1, 2), s, keep
 
@@ -255,7 +278,7 @@ def _minimum_norm_table(
     u: np.ndarray, s: np.ndarray, keep: np.ndarray, values: np.ndarray, d: int, tol: Tolerances
 ) -> np.ndarray:
     """The minimum-norm linear extension of ``values`` (one matrix per family
-    member) on the basis ``_block_svd`` read off the factors ``u, s, keep``:
+    member) on the basis ``_pair_basis`` read off the factors ``u, s, keep``:
     ``sqrt(d) diag(1/s) u^H values``, concatenated over the blocks.
 
     The prescription is linear only if, on every block, it vanishes on the
@@ -282,8 +305,10 @@ def dual_expectation(
     1990), certified by identities that ``build`` has checked; only its state's
     faithfulness is checked here.
 
-    Its table is lambda of ``dual_table``, the minimum-norm extension of that
-    prescription on the pair family ``x_jk(s) = lambda(m_j s) e lambda(m_k)*``.
+    Its values are lambda of ``dual_table``, the minimum-norm extension of that
+    prescription on the pair family ``x_jk(s) = lambda(m_j s) e lambda(m_k)*``;
+    lambda is linear, so they are ``dual_table``'s A-coordinates times
+    ``lambda_stack``, read one batch at a time (``CondExpectation._spanned``).
     ``_minimum_norm_table``'s consistency check, block by block as the
     compression identity ``e lambda(a) e = lambda(E(a)) e`` makes the pair
     blocks orthogonal, makes it a linear map T on M1. The module basis is an
@@ -294,7 +319,7 @@ def dual_expectation(
     ``watatani_index`` has checked that Ind is self-adjoint, central and
     invertible. The six axioms follow one at a time:
 
-    - range: the values are lambda of A-coordinates (``lambda_many``);
+    - range: the values are lambda of A-coordinates (``lambda_stack``);
     - fixes lambda(A): by the cover identity ``sum_j lambda(m_j) e
       lambda(m_j)* = 1`` (``floor_algebra``),
       ``lambda(a) = sum_j lambda(a m_j) e lambda(m_j)* -> lambda(Ind^{-1} a Ind)
@@ -311,15 +336,16 @@ def dual_expectation(
     positive and faithful (``expectation._state_min_eigenvalue``). In floating
     point each axiom holds to the residuals checked: the module basis'
     reconstruction residual and the cover identity's enter "fixes" times
-    ``|a|``; the consistency residual and the ``_block_svd`` cut, which moves
+    ``|a|``; the consistency residual and the ``_pair_basis`` cut, which moves
     a family member by at most ``rank_tol s_max`` times its coordinates, bound
     how far T is from the prescription on the family; Ind's self-adjointness
     and centrality residuals, times ``|Ind^{-1}| = 1 / lambda_min(Ind)``,
     enter "adjoint", "bimodule" and "fixes".
     """
-    dual = CondExpectation(
-        inclusion=Inclusion(big=bc.m1, small=bc.lambda_algebra, tol=tol),
-        values=bc.lambda_many(bc.dual_table),
+    dual = CondExpectation._spanned(
+        Inclusion(big=bc.m1, small=bc.lambda_algebra, tol=tol),
+        bc.source.big.coords_many(bc.dual_table),
+        bc.lambda_stack,
     )
     _verify_faithful_state(dual, tol)
     return dual

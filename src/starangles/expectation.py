@@ -1,13 +1,17 @@
 """Conditional expectations on inclusions of matrix *-algebras.
 
-An expectation is its basis-value table. Applying it goes through B's
-coordinates: on first use the map ``K`` (``n^2 x dim B``) from a flattened
-argument to the B-coordinates of its image is cached, so a call costs
-``2 n^2 dim B`` per argument and returns a value exactly in span(B); the
-table must not be mutated after the first apply. The state it induces,
-``phi = tr o E / n``, is read off the table as a density ``rho`` in the big
-algebra, ``phi(x) = tr(rho x) / n``. ``trace_preserving`` builds
-the Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
+An expectation is held by the B-coordinates of its values on A's basis,
+``W`` (``dim A x dim B``), and by its state on that basis, ``phi(a_s) =
+tr(E(a_s)) / n``: the two things that applying it and its state read.
+Applying it goes through B's coordinates: on first use the map ``K``
+(``n^2 x dim B``) from a flattened argument to the B-coordinates of its
+image is cached, so a call costs ``2 n^2 dim B`` per argument and returns a
+value exactly in span(B). The state is read as a density ``rho`` in the
+big algebra, ``phi(x) = tr(rho x) / n``. An expectation the library derives
+reads ``W`` and ``phi`` off its value table one batch at a time and keeps
+no ``dim A x n x n`` table; a table from outside is kept as given and must
+not be mutated after the first apply. ``trace_preserving`` builds the
+Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
 The compatible expectation onto an intermediate is the ``phi``-orthogonal
 projection onto it.
 
@@ -27,7 +31,7 @@ expectation. Each residual is a maximum over ``linalg.batches``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -38,19 +42,40 @@ from .errors import ArgumentError, ConstructionError, IncompatibilityError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, batches, max_op_norm, op_norm
 
 
-@dataclass(frozen=True)
 class CondExpectation:
     """Linear idempotent bimodule map ``E: A -> B`` packaged with its inclusion.
 
-    ``values[s]`` is the image of the s-th basis element of the big
-    algebra. Applying ``E`` is ``E(x) = (flat(x) K) flat(B)`` with
-    ``K = conj(A_flat)^T W / n`` and ``W = coords_B(values)``: the table read
-    in B's coordinates, cached on first use. For a table inside span(B)
-    this is the table's own value on the argument's A-projection.
+    It is held by ``small_coords``, the matrix ``W`` (``dim A x dim B``) whose
+    row s is the B-coordinates of ``E(a_s)`` for the s-th basis element of the
+    big algebra, and by its state on that basis, ``phi(a_s) = tr(E(a_s)) / n``.
+    Applying ``E`` is ``E(x) = (flat(x) K) flat(B)`` with
+    ``K = conj(A_flat)^T W / n``, cached on first use; for a table inside
+    span(B) this is the table's own value on the argument's A-projection.
+
+    A table from outside (``values``, ``dim A x n x n``) is kept as given, so
+    the six-axiom engine and ``verify`` judge it as given; ``W`` and ``phi`` are
+    read off it on first use. An expectation the library derives is built by
+    ``_spanned`` and keeps no table: its ``values`` are rebuilt as
+    ``W . flat(B)`` on each read.
     """
 
-    inclusion: Inclusion
-    values: np.ndarray = field(repr=False)
+    def __init__(self, inclusion: Inclusion, values: np.ndarray):
+        self.inclusion = inclusion
+        self._table = np.asarray(values, dtype=complex)
+
+    @classmethod
+    def _spanned(
+        cls, inclusion: Inclusion, coeffs: np.ndarray, stack: np.ndarray | None = None
+    ) -> CondExpectation:
+        """The expectation with ``E(a_s) = sum_t coeffs[s, t] stack_t``, for a stack of
+        matrices in B (B's basis if None). ``W`` and ``phi`` are read off that table
+        one ``linalg.batches`` batch at a time, with the same arithmetic as from
+        the table given whole, and the table is not kept."""
+        exp = cls.__new__(cls)
+        exp.inclusion, exp._table = inclusion, None
+        flat = inclusion.small._flat if stack is None else stack.reshape(len(stack), -1)
+        exp._held = _read_table(inclusion, lambda part: coeffs[part] @ flat)
+        return exp
 
     @property
     def big(self) -> StarAlgebra:
@@ -59,6 +84,25 @@ class CondExpectation:
     @property
     def small(self) -> StarAlgebra:
         return self.inclusion.small
+
+    @property
+    def values(self) -> np.ndarray:
+        """``E(a_s)`` for each basis element of the big algebra: the table as given,
+        or ``W . flat(B)``, rebuilt on each read, for a derived expectation."""
+        if self._table is not None:
+            return self._table
+        n = self.big.ambient_dim
+        return (self.small_coords @ self.small._flat).reshape(-1, n, n)
+
+    @property
+    def small_coords(self) -> np.ndarray:
+        """``W``: row s is the B-coordinates of ``E(a_s)``."""
+        return self._held[0]
+
+    @cached_property
+    def _held(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(W, phi)`` of a table from outside, read on first use."""
+        return _read_table(self.inclusion, lambda part: self._table[part])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply_stack(np.asarray(x, dtype=complex)[None])[0]
@@ -77,20 +121,12 @@ class CondExpectation:
         flat = np.asarray(stack, dtype=complex).reshape(len(stack), n * n)
         return flat @ self._to_small_coords
 
-    def _small_values(self) -> np.ndarray:
-        """``W = coords_B(values)`` batch by batch: row s is ``apply(a_s)`` in B."""
-        a, b = self.big, self.small
-        w = np.empty((a.dim, b.dim), dtype=complex)
-        for part in batches(a.dim, a.ambient_dim**2):
-            w[part] = b.coords_many(self.values[part])
-        return w
-
     @cached_property
     def _to_small_coords(self) -> np.ndarray:
         """``K = conj(A_flat)^T W / n``."""
         a = self.big
         # conjugating the small product keeps no conjugate copy of A's basis
-        return np.conj(a._flat.T @ np.conj(self._small_values())) / a.ambient_dim
+        return np.conj(a._flat.T @ np.conj(self.small_coords)) / a.ambient_dim
 
     def state_gram(self, rows: StarAlgebra, cols: StarAlgebra) -> np.ndarray:
         """Gram matrix ``G[s, t] = phi(r_s* c_t)`` of the induced state.
@@ -103,9 +139,21 @@ class CondExpectation:
 
     def _density_adjoint(self) -> np.ndarray:
         """``rho*`` for the induced state's density ``rho = sum_s phi(a_s) a_s*``."""
-        a = self.big
-        phi = np.trace(self.values, axis1=1, axis2=2) / a.ambient_dim  # phi(a_s)
-        return a.reconstruct(np.conj(phi))
+        return self.big.reconstruct(np.conj(self._held[1]))
+
+
+def _read_table(inc: Inclusion, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``W = coords_B(values)`` and ``phi(a_s) = tr(values[s]) / n`` of a value table
+    given one batch at a time, ``rows(part) = values[part]``."""
+    a, b = inc.big, inc.small
+    n = a.ambient_dim
+    w = np.empty((a.dim, b.dim), dtype=complex)
+    phi = np.empty(a.dim, dtype=complex)
+    for part in batches(a.dim, n * n):
+        table = rows(part).reshape(-1, n, n)
+        w[part] = b.coords_many(table)
+        phi[part] = np.trace(table, axis1=1, axis2=2) / n
+    return w, phi
 
 
 def _axiom_residuals(exp: CondExpectation, tol: Tolerances):
@@ -184,7 +232,7 @@ def _bimodule_violation(exp: CondExpectation) -> float:
     on the operator norm of ``E(b a) - b E(a)`` and ``E(a b) - E(a) b`` over all
     basis pairs of B and A; with ``1`` in B these give ``E(b x c) = b E(x) c``.
 
-    Here ``E`` is ``apply``, so ``E(a_s) = W[s] . B`` (``_small_values``),
+    Here ``E`` is ``apply``, so ``E(a_s) = W[s] . B`` (``small_coords``),
     ``phi = tr o E / n``, ``|.|_2`` is the normalized Hilbert-Schmidt norm (both
     bases orthonormal), and ``lambda`` is the least eigenvalue of
     ``G_BB = state_gram(B, B)``'s Hermitian part. Lemma: the defect
@@ -212,7 +260,7 @@ def _bimodule_violation(exp: CondExpectation) -> float:
     floor = float(np.linalg.eigvalsh((g_bb + adjoint(g_bb)) / 2.0)[0])
     if floor <= 0.0:
         return np.inf
-    rho_star, w_t = exp._density_adjoint(), exp._small_values().T
+    rho_star, w_t = exp._density_adjoint(), exp.small_coords.T
 
     def defect_norm(stack_of) -> float:
         """Spectral norm of the defect matrix of ``z_u = stack_of(b_u)``."""
@@ -234,12 +282,11 @@ def trace_preserving(inc: Inclusion, tol: Tolerances = DEFAULT_TOLERANCES) -> Co
     It is ``make_compatible``'s theorem for the trace, ``rho = 1``: the modular
     group is trivial, so the trace-preserving expectation onto the unital
     *-subalgebra B exists, is unique, and is the trace-orthogonal projection.
-    Its values lie in span(B) by construction, as coordinates times B's basis,
-    and its state ``tr / n`` is faithful; no check runs, and ``tol`` is unused.
+    Its values are the overlaps ``<b_t, a_s>`` times B's basis, so they lie in
+    span(B) by construction, and its state ``tr / n`` is faithful; no check
+    runs, and ``tol`` is unused.
     """
-    overlaps = inc.small.coords_many(inc.big.basis)  # (dimA, dimB)
-    values = np.tensordot(overlaps, inc.small.basis, axes=(1, 0))
-    return CondExpectation(inclusion=inc, values=values)
+    return CondExpectation._spanned(inc, inc.small.coords_many(inc.big.basis))
 
 
 def expectation_from_values(
@@ -282,13 +329,13 @@ class ExpectationReport:
 
 def verify(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> ExpectationReport:
     """Diagnostic report on an expectation; raises only on a malformed value table."""
-    a = exp.big
+    a, values = exp.big, exp.values
     axioms = dict(_axiom_residuals(exp, tol))
     state_floor = _state_min_eigenvalue(exp)
     # phi(x* y) = <x rho*, y> in the normalized Hilbert-Schmidt product
     rho_star = exp._density_adjoint()
-    values_flat = exp.values.reshape(a.dim, -1)
-    lhs = np.conj((exp.values @ rho_star).reshape(a.dim, -1)) @ a._flat.T
+    values_flat = values.reshape(a.dim, -1)
+    lhs = np.conj((values @ rho_star).reshape(a.dim, -1)) @ a._flat.T
     rhs = np.conj((a.basis @ rho_star).reshape(a.dim, -1)) @ values_flat.T
     state_sym = float(np.abs(lhs - rhs).max()) / a.ambient_dim
     return ExpectationReport(
@@ -322,24 +369,45 @@ class CompatibleIntermediate:
     E_restricted: CondExpectation
 
     def _composition_residual(self, exp: CondExpectation, tol: Tolerances) -> float:
-        """``max_s |E|_P(F(a_s)) - E(a_s)|`` over the basis ``a_s`` that F's table is
-        indexed by, as ``max_op_norm`` decides it against ``eq_tol``. The map is
-        linear, so on a basis of ``exp``'s big algebra this decides ``E|_P o F = E``."""
+        """``max_s |E|_P(F(a_s)) - E(a_s)|`` over the basis ``a_s`` that F is indexed
+        by, as ``max_op_norm`` decides it against ``eq_tol``. The map is linear, so on
+        a basis of ``exp``'s big algebra this decides ``E|_P o F = E``. ``E|_P`` reads
+        its argument's P-coordinates, so ``E|_P(F(a_s))`` has the B-coordinates
+        ``(W_F W_{E|_P})[s]``, and no ``F(a_s)`` is formed."""
         e_p, f, a = self.E_restricted, self.F, self.F.big
+        composed = f.small_coords @ e_p.small_coords
+        n = a.ambient_dim
         return max(
-            max_op_norm(e_p.apply_many(f.values[s]) - exp.apply_many(a.basis[s]), tol.eq_tol)
-            for s in batches(a.dim, a.ambient_dim**2)
+            max_op_norm(
+                (composed[s] @ e_p.small._flat).reshape(-1, n, n) - exp.apply_many(a.basis[s]),
+                tol.eq_tol,
+            )
+            for s in batches(a.dim, n * n)
         )
 
 
 def _modular_residual(exp: CondExpectation, p: StarAlgebra, tol: Tolerances) -> float:
     """``max_s dist([log rho, p_s], P)`` over P's basis (normalized Hilbert-Schmidt
     distance, ``StarAlgebra._max_span_residual``), for the density ``rho`` of the
-    state ``phi`` induced by ``exp``, checked faithful first."""
+    state ``phi`` induced by ``exp``, checked faithful first; or, when it is at most
+    ``eq_tol``, the bound ``spread = log lambda_max(rho) - log lambda_min(rho)``.
+
+    The bound: with ``c`` the midpoint of log rho's spectrum,
+    ``|log rho - c 1|_op = spread / 2``, and ``[log rho, p] = [log rho - c 1, p]``.
+    As ``|x y|_2 <= |x|_op |y|_2`` and ``|y x|_2 <= |y|_2 |x|_op``, and each
+    ``p_s`` has ``|p_s|_2 = 1``, ``|[log rho, p_s]|_2 <= spread``; the distance to
+    P is at most that norm, as 0 lies in P. So a spread at most ``eq_tol`` decides
+    that P is invariant with no commutator formed. That covers every first floor
+    of a tracial tower, where the dual's density is scalar.
+    """
     _verify_faithful_state(exp, tol)
     rho_star = exp._density_adjoint()
     w, v = np.linalg.eigh((rho_star + adjoint(rho_star)) / 2.0)
-    log_rho = (v * np.log(w)) @ adjoint(v)
+    log_w = np.log(w)
+    spread = float(log_w[-1] - log_w[0])
+    if spread <= tol.eq_tol:
+        return spread
+    log_rho = (v * log_w) @ adjoint(v)
     return p._max_span_residual(log_rho @ p.basis - p.basis @ log_rho)
 
 
@@ -387,13 +455,14 @@ def make_compatible(
     # both inclusions check containment, B in P second, before the modular residual
     into_big = Inclusion(big=a, small=p, tol=tol)
     onto_small = Inclusion(big=p, small=exp.small, tol=tol)
-    restricted = CondExpectation(inclusion=onto_small, values=exp.apply_many(p.basis))
+    # E|_P is E's B-coordinates of P's basis, F the solved P-coordinates of A's
+    restricted = CondExpectation._spanned(onto_small, exp.small_coords_many(p.basis))
     modular = _modular_residual(exp, p, tol)
     if modular > tol.eq_tol:
         raise IncompatibilityError("intermediate is not invariant under the modular group", modular)
 
     coeffs = np.linalg.solve(exp.state_gram(p, p), exp.state_gram(p, a))  # (dimP, dimA)
-    f = CondExpectation(inclusion=into_big, values=np.tensordot(coeffs.T, p.basis, axes=(1, 0)))
+    f = CondExpectation._spanned(into_big, coeffs.T)
     ci = CompatibleIntermediate(P=p, F=f, E_restricted=restricted)
     compat = ci._composition_residual(exp, tol)
     if compat >= tol.eq_tol:

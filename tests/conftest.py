@@ -15,6 +15,17 @@ settings.register_profile(
 settings.load_profile("starangles")
 
 
+@pytest.fixture
+def batch_items(monkeypatch):
+    """Set the number of single-matrix items per batch, whatever their size."""
+
+    def set_items(items: int):
+        monkeypatch.setattr(sa.linalg, "_BATCH_ENTRIES", 0)
+        monkeypatch.setattr(sa.linalg, "_BATCH_MIN_MATRICES", items)
+
+    return set_items
+
+
 def random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard complex Gaussian ``n x n`` matrix."""
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)

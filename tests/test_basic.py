@@ -272,7 +272,7 @@ class TestRankDeficientDual:
         bc, *_ = s3_tensor_m2
         blocks, values = family_blocks(bc)
         tol = DEFAULT_TOLERANCES
-        _, u, s, keep = basic._block_svd(blocks, tol)
+        _, u, s, keep = block_svd_reference(blocks, tol)
         basic._minimum_norm_table(u, s, keep, values, bc.rep_dim, tol)  # consistent: no raise
         # a perturbation along the orthogonal complement of each block's range
         kept_u = u * keep[:, None, :]
@@ -286,11 +286,33 @@ class TestRankDeficientDual:
         assert err.value.prop == "dual prescription consistency"
 
 
+def pair_blocks_reference(lam_m, lam_s, proj):
+    """One-shot reference of the floor builder's pair family: block ``j * J + k``
+    is ``lambda(m_j s_t) proj lambda(m_k)*`` over S's basis ``s_t``, all held at once."""
+    left = lam_m[:, None] @ lam_s[None]  # (j, t)
+    right = proj @ np.conj(lam_m.transpose(0, 2, 1))  # (k,)
+    return (left[:, None] @ right[None, :, None]).reshape(-1, *left.shape[1:])
+
+
+def block_svd_reference(blocks, tol):
+    """One-shot reference of the floor builder's factorization: every block's thin
+    SVD in one call, cut at ``rank_tol`` times the largest singular value of all
+    blocks. Returns ``(basis, u, s, keep)`` with ``basis = sqrt(d) vh`` over the
+    kept singular values."""
+    d = blocks.shape[-1]
+    flat = blocks.reshape(*blocks.shape[:2], d * d)
+    ut, s, vt = np.linalg.svd(np.swapaxes(flat, 1, 2), full_matrices=False)
+    keep = s > tol.rank_tol * s.max()
+    basis = np.swapaxes(ut, 1, 2)[keep]
+    basis *= np.sqrt(d)
+    return basis.reshape(-1, d, d), np.swapaxes(vt, 1, 2), s, keep
+
+
 def family_blocks(bc):
     """M1's spanning family's pair blocks and their prescribed values
     ``index^{-1} m_j b_t m_k*``."""
     m, b = bc.module_basis.elements, bc.source.small.basis
-    blocks = basic._pair_blocks(bc.lambda_many(m), bc.lambda_many(b), bc.e_proj)
+    blocks = pair_blocks_reference(bc.lambda_many(m), bc.lambda_many(b), bc.e_proj)
     pre = bc.index.inverse() @ m[:, None] @ b[None]
     values = pre[:, None] @ np.conj(m.transpose(0, 2, 1))[None, :, None]
     return blocks, values.reshape(-1, *b.shape)
@@ -330,6 +352,28 @@ class TestPairFactorization:
         d = bc.rep_dim
         reference = sa.StarAlgebra(d, (vh[:rank] * np.sqrt(d)).reshape(rank, d, d))
         assert sa.same_span(bc.m1, reference)
+
+
+class TestStreamedFactorization:
+    """The floor builder streams the pair family through ``linalg.batches``; every
+    block's SVD is independent of the others, so the result is the one-shot one."""
+
+    @pytest.mark.parametrize("items", [1, 3])
+    @pytest.mark.parametrize("built", ["s3_tensor_m2", "d4_haar"])
+    def test_bit_identical_to_the_one_shot_reference(self, request, batch_items, built, items):
+        bc = request.getfixturevalue(built)
+        bc = bc[0] if built == "s3_tensor_m2" else bc
+        tol = DEFAULT_TOLERANCES
+        lam_m = bc.lambda_many(bc.module_basis.elements)
+        lam_s = bc.lambda_many(bc.source.small.basis)
+        reference = block_svd_reference(pair_blocks_reference(lam_m, lam_s, bc.e_proj), tol)
+        batch_items(items)
+        m1, *factors = basic.floor_algebra(bc, bc.source, bc.module_basis, bc.e_proj, tol)
+        for got, want in zip([m1.basis, *factors], reference):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(m1.basis, bc.m1.basis)
+        if built == "s3_tensor_m2":  # the family is 4 dim M1: the cut drops rows
+            assert not reference[3].all()
 
 
 def assert_matches_quasi_basis_sums(bc, ci):

@@ -15,17 +15,6 @@ from conftest import random_matrix
 TOL = linalg.DEFAULT_TOLERANCES
 
 
-@pytest.fixture
-def batch_items(monkeypatch):
-    """Set the number of single-matrix items per batch, whatever their size."""
-
-    def set_items(items: int):
-        monkeypatch.setattr(linalg, "_BATCH_ENTRIES", 0)
-        monkeypatch.setattr(linalg, "_BATCH_MIN_MATRICES", items)
-
-    return set_items
-
-
 ONE_BATCH = 10**9
 
 
@@ -107,6 +96,23 @@ class TestBatchBoundaries:
         assert raised[0][0] == raised[1][0] == "product closure"
         assert raised[1][1] == pytest.approx(raised[0][1], rel=1e-12)
 
+    def test_orthonormality_violation_in_a_lower_triangle_batch(self, batch_items):
+        # the matrix units of M_3 with e_32 tilted towards e_12: the one off-diagonal
+        # Gram pair (7, 1) lies in batch 3's rows and batch 1's columns, below the
+        # diagonal blocks, which the check takes as the mirror of (1, 7)
+        units = np.sqrt(3.0) * np.eye(9, dtype=complex).reshape(9, 3, 3)
+        basis = units.copy()
+        basis[7] = np.cos(1e-3) * units[7] + np.sin(1e-3) * units[1]
+        flat = basis.reshape(9, -1)
+        gram = np.conj(flat) @ flat.T / 3
+        full = linalg.op_norm(gram - np.eye(9))
+        assert full > 1e-4
+        batch_items(3)
+        with pytest.raises(ConstructionError) as err:
+            sa.StarAlgebra(3, basis)
+        assert err.value.prop == "basis orthonormality"
+        assert err.value.residual == pytest.approx(full, rel=1e-12)
+
     def test_axiom_violation_in_last_batch(self, suite_s3, batch_items):
         exp = suite_s3.expectation
         values = exp.values.copy()
@@ -171,3 +177,35 @@ def test_closure_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20
+
+
+def held_arrays(exp: sa.CondExpectation):
+    """Every array an expectation holds, its cached apply map included."""
+    for value in vars(exp).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def test_second_floor_build_memory_is_bounded():
+    # the unconjugated C in C[D4]: M2 has 512 elements in M_64, and its pair family alone
+    # takes 32 MiB; the streamed factorization keeps the basis and one batch of blocks
+    rep = sa.group_algebra(sa.dihedral(4))
+    exp = sa.trace_preserving(sa.Inclusion(big=rep.algebra, small=rep.subalgebra(sa.trivial(4))))
+    ctx = sa.AngleContext(exp)
+    dual = ctx.dual
+    tracemalloc.start()
+    try:
+        upper = basic.build(dual)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert upper.m1.dim == 512
+    assert peak < 96 * 2**20
+    # no derived expectation keeps a (dim A, n, n) table
+    ci = sa.make_compatible(exp, rep.subalgebra(sa.cyclic(4)))
+    derived = [exp, ci.F, ci.E_restricted, dual, basic.dual_expectation(upper)]
+    for e in derived:
+        e.apply(e.big.unit)  # caches the apply map
+        largest = max(x.size for x in held_arrays(e))
+        assert largest < e.big.dim * e.big.ambient_dim**2, e

@@ -201,6 +201,14 @@ def states_with_intermediates(draw):
     return lam / lam.sum(), q, span
 
 
+def commutator_residual(exp: sa.CondExpectation, p: sa.StarAlgebra) -> float:
+    """``max_s dist([log rho, p_s], P)``, formed and projected whatever the spread."""
+    rho_star = exp._density_adjoint()
+    w, v = np.linalg.eigh((rho_star + adjoint(rho_star)) / 2.0)
+    log_rho = (v * np.log(w)) @ adjoint(v)
+    return p._max_span_residual(log_rho @ p.basis - p.basis @ log_rho)
+
+
 class TestMakeCompatible:
     def test_intermediate_equal_to_small(self, suite_s3):
         ci = sa.make_compatible(suite_s3.expectation, suite_s3.small)
@@ -304,6 +312,26 @@ class TestMakeCompatible:
             with pytest.raises(IncompatibilityError, match="modular group") as err:
                 sa.make_compatible(exp, sa.from_span(3, span))
             assert err.value.residual > 0.5, name
+        # the spread of log rho, log 6, is far above eq_tol: every residual is the
+        # commutators' distance to P, none the spread bound
+        for name, span in {**compatible, **incompatible}.items():
+            p = sa.from_span(3, span)
+            assert _modular_residual(exp, p, DEFAULT_TOLERANCES) == commutator_residual(exp, p)
+
+    def test_tracial_first_floor_decided_by_the_spread(self, suite_d4, monkeypatch):
+        # the dual of a tracial tower has a scalar density: the spread of log rho
+        # bounds every commutator, so no commutator is formed or projected
+        ctx = suite_d4.ctx
+        floor = ctx.first_floor(suite_d4.compat[0]).P
+        projected = []
+        monkeypatch.setattr(
+            sa.StarAlgebra, "_max_span_residual", lambda *args: projected.append(args) or 0.0
+        )
+        residual = _modular_residual(ctx.dual, floor, DEFAULT_TOLERANCES)
+        assert projected == []
+        assert 0.0 <= residual < 1e-13
+        monkeypatch.undo()
+        assert commutator_residual(ctx.dual, floor) <= residual
 
     @settings(max_examples=60)  # about one example in five is incompatible
     @given(states_with_intermediates())
