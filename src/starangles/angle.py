@@ -56,7 +56,7 @@ from .errors import (
     InvariantError,
 )
 from .expectation import CompatibleIntermediate, CondExpectation, make_compatible
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, batches, op_norm, op_norms
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, op_norm, op_norms
 from .pimsner import ModuleBasis, WatataniIndex, orthonormal_basis, watatani_index
 
 
@@ -80,10 +80,9 @@ class AngleReport:
 class AngleContext:
     """Caches the shared machinery across angle computations.
 
-    Per context: the basic construction, the dual expectation, the module
-    basis, the index and its inverse, and lambda^{-1} on lambda(A)'s basis
-    (``R = C^{-1} A_flat`` for ``C`` the lambda(A)-coordinates of lambda of
-    A's basis), which reads ``E1`` in A. The module basis and index are
+    Per context: the basic construction, which reads ``E1`` in A
+    (``bc.dual_in_algebra``), the dual expectation, the module basis, and
+    the index and its inverse. The module basis and index are
     built once: by the basic construction when it is built first, as when
     both routes run, or alone for the quasi-basis route. An intermediate is
     admitted once, when first seen on either route or floor: it must have
@@ -111,7 +110,6 @@ class AngleContext:
         self._module: ModuleBasis | None = None
         self._index: WatataniIndex | None = None
         self._index_inverse: np.ndarray | None = None
-        self._lambda_inverse: np.ndarray | None = None
         self._per_intermediate: dict[int, dict] = {}
         self._upper: AngleContext | None = None
 
@@ -216,30 +214,12 @@ class AngleContext:
         self.jones_difference(ci)
         return self._cache(ci)["z_range"]
 
-    def _dual_in_algebra(self, stack: np.ndarray) -> np.ndarray:
-        """``E1`` of each matrix in a stack, read in A: the ``a`` with ``lambda(a) = E1(x)``.
-
-        ``E1(x)`` has lambda(A)-coordinates ``c``, and ``lambda(a_i) = sum_t C[i, t] l_t``
-        for A's basis ``a_i`` and lambda(A)'s ``l_t``, so ``l_t = lambda((C^{-1} A)_t)``
-        and ``a = c C^{-1} A``.
-        """
-        if self._lambda_inverse is None:
-            lam, d = self.bc.lambda_stack, self.bc.rep_dim
-            parts = batches(len(lam), d * d)
-            c = np.concatenate([self.dual.small.coords_many(lam[part]) for part in parts])
-            s = np.linalg.svd(c, compute_uv=False)
-            if s[-1] <= self.tol.rank_tol * s[0]:
-                raise InvariantError(f"lambda is singular on A (singular value {s[-1]:.3e})")
-            self._lambda_inverse = np.linalg.solve(c, self.expectation.big._flat)
-        n = self.expectation.big.ambient_dim
-        return (self.dual.small_coords_many(stack) @ self._lambda_inverse).reshape(-1, n, n)
-
     def definition_denominator(self, ci: CompatibleIntermediate) -> float:
         """``|E1(z_P)|^(1/2)``, with ``E1(z_P)`` read in A."""
         cache = self._cache(ci)
         if "den_definition" not in cache:
             z = self.jones_difference(ci)
-            cache["den_definition"] = math.sqrt(op_norm(self._dual_in_algebra(z[None])[0]))
+            cache["den_definition"] = math.sqrt(op_norm(self.bc.dual_in_algebra(z[None])[0]))
         return cache["den_definition"]
 
     def quasibasis_denominator(self, ci: CompatibleIntermediate) -> float:
@@ -302,7 +282,7 @@ def _definition_terms(ctx: AngleContext, p: CompatibleIntermediate, q: Compatibl
     denominators = (ctx.definition_denominator(p), ctx.definition_denominator(q))
     z_pq = ctx.jones_difference(p) @ ctx.jones_difference(q)
     residual = adjoint(ctx.jones_range(p)) @ ctx.jones_range(q)
-    return ctx._dual_in_algebra(z_pq[None])[0], denominators, residual
+    return ctx.bc.dual_in_algebra(z_pq[None])[0], denominators, residual
 
 
 def _op_norms_by_shape(mats: list[np.ndarray]) -> list[float]:

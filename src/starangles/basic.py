@@ -23,15 +23,18 @@ the algebra's orthonormal basis, after the same four identities are
 checked for every floor. The pairs are streamed in ``linalg.batches``:
 each batch's blocks are built, factored and written into one preallocated
 basis array, so the family is never held whole. For M1 the same factors
-give the dual expectation's values on that basis, read in A
-(``dual_table``): the minimum-norm extension of
-``lambda(x) e lambda(y) -> index^{-1} x y``. The dual is the
-``CondExpectation`` whose values are lambda of that table; like every
-expectation of the tower it keeps only their lambda(A)-coordinates, so one
-application of ``E1`` goes through lambda(A)'s coordinates.
+give the dual expectation's values on that basis, held by their
+A-coordinates ``D`` (``dual_coords``): the minimum-norm extension of
+``lambda(x) e lambda(y)* -> lambda(index^{-1} x y*)``. The dual is the
+``CondExpectation`` with ``W = D C``, for ``C`` the lambda(A)-coordinates
+of lambda of A's basis, so one application of ``E1`` goes through
+lambda(A)'s coordinates; ``dual_in_algebra`` reads ``E1`` in A from ``D``
+itself, with no lambda inverted.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +67,8 @@ class BasicConstruction:
         self.e_proj: np.ndarray | None = None
         self.lambda_algebra: StarAlgebra | None = None
         self.m1: StarAlgebra | None = None
-        # values of the dual expectation on M1's basis, inside the big algebra
-        self.dual_table: np.ndarray | None = None
+        # D: row u is the A-coordinates of the dual expectation's value on M1's m_u
+        self.dual_coords: np.ndarray | None = None
 
     @property
     def dim_m1(self) -> int:
@@ -107,6 +110,22 @@ class BasicConstruction:
         coeffs = self.source.big.coords_many(np.asarray(stack, dtype=complex))
         return np.tensordot(coeffs, self.lambda_stack, axes=(1, 0))
 
+    def dual_in_algebra(self, stack: np.ndarray) -> np.ndarray:
+        """``E1`` of each matrix in a stack of M1, read in A: the ``a`` with
+        ``lambda(a) = E1(x)``, ``(flat(x) conj(M1_flat)^T / d) D A_flat``.
+
+        The first factor is x's M1-coordinates and row u of ``D`` the
+        A-coordinates of ``E1(m_u)``, so no lambda is inverted."""
+        a = self.source.big
+        flat = np.asarray(stack, dtype=complex).reshape(len(stack), -1)
+        return (flat @ self._dual_reader @ a._flat).reshape(-1, a.ambient_dim, a.ambient_dim)
+
+    @cached_property
+    def _dual_reader(self) -> np.ndarray:
+        """``conj(M1_flat)^T D / d`` (``d^2 x dim A``)."""
+        # conjugating the small product keeps no conjugate copy of M1's basis
+        return np.conj(self.m1._flat.T @ np.conj(self.dual_coords)) / self.rep_dim
+
     def _lambda_of_basis(self) -> np.ndarray:
         """lambda of A's basis, from the A-coordinates of the products ``a_i a_s``."""
         a = self.source.big
@@ -124,9 +143,9 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     """Build the reduced basic construction and verify its identities.
 
     ``e`` is ``jones_projection(E)``, and M1 is ``floor_algebra`` for E, its
-    module basis and ``e``. ``dual_table``, the elements of A whose lambda are
-    the dual expectation's values on M1's basis, is read off the block factors
-    that built M1's basis.
+    module basis and ``e``. ``dual_coords``, the A-coordinates ``D`` of the
+    elements whose lambda are the dual expectation's values on M1's basis, is
+    read off the block factors that built M1's basis.
 
     lambda(A) takes no closure check. ``lambda(a_i) = G^{1/2} L_i G^{-1/2}``,
     with ``L_i`` left multiplication by ``a_i`` on A, so A's closure gives
@@ -153,7 +172,7 @@ def build(exp: CondExpectation, tol: Tolerances = DEFAULT_TOLERANCES) -> BasicCo
     m, m_h = module.elements, np.conj(module.elements.transpose(0, 2, 1))
     pre = bc.index.inverse() @ m[:, None] @ b.basis[None]
     values = (pre[:, None] @ m_h[None, :, None]).reshape(-1, *b.basis.shape)
-    bc.dual_table = _minimum_norm_table(u, s, keep, values, d, tol)
+    bc.dual_coords = a.coords_many(_minimum_norm_table(u, s, keep, values, d, tol))
     return bc
 
 
@@ -305,10 +324,11 @@ def dual_expectation(
     1990), certified by identities that ``build`` has checked; only its state's
     faithfulness is checked here.
 
-    Its values are lambda of ``dual_table``, the minimum-norm extension of that
-    prescription on the pair family ``x_jk(s) = lambda(m_j s) e lambda(m_k)*``;
-    lambda is linear, so they are ``dual_table``'s A-coordinates times
-    ``lambda_stack``, read one batch at a time (``CondExpectation._spanned``).
+    Its values are lambda of the minimum-norm extension of that prescription
+    on the pair family ``x_jk(s) = lambda(m_j s) e lambda(m_k)*``, whose
+    A-coordinates ``build`` keeps (``dual_coords``, ``D``); lambda is linear,
+    so they are ``D`` times ``lambda_stack``, and ``W = D C`` for ``C`` the
+    lambda(A)-coordinates of ``lambda_stack`` (``CondExpectation._spanned``).
     ``_minimum_norm_table``'s consistency check, block by block as the
     compression identity ``e lambda(a) e = lambda(E(a)) e`` makes the pair
     blocks orthogonal, makes it a linear map T on M1. The module basis is an
@@ -342,10 +362,9 @@ def dual_expectation(
     and centrality residuals, times ``|Ind^{-1}| = 1 / lambda_min(Ind)``,
     enter "adjoint", "bimodule" and "fixes".
     """
+    lam = bc.lambda_algebra
     dual = CondExpectation._spanned(
-        Inclusion(big=bc.m1, small=bc.lambda_algebra, tol=tol),
-        bc.source.big.coords_many(bc.dual_table),
-        bc.lambda_stack,
+        Inclusion(big=bc.m1, small=lam, tol=tol), bc.dual_coords @ lam.coords_many(bc.lambda_stack)
     )
     _verify_faithful_state(dual, tol)
     return dual

@@ -8,10 +8,12 @@ Applying it goes through B's coordinates: on first use the map ``K``
 image is cached, so a call costs ``2 n^2 dim B`` per argument and returns a
 value exactly in span(B). The state is read as a density ``rho`` in the
 big algebra, ``phi(x) = tr(rho x) / n``. An expectation the library derives
-reads ``W`` and ``phi`` off its value table one batch at a time and keeps
-no ``dim A x n x n`` table; a table from outside is kept as given and must
-not be mutated after the first apply. ``trace_preserving`` builds the
-Hilbert-Schmidt projection (``rho = 1``); custom tables need no label.
+is built from the coefficients its constructor already has: ``W`` is those
+coefficients and ``phi(a_s) = sum_t W[s, t] tr(b_t) / n``, so no
+``dim A x n x n`` table is formed. A table from outside is kept as given,
+read one batch at a time, and must not be mutated after the first apply.
+``trace_preserving`` builds the Hilbert-Schmidt projection (``rho = 1``);
+custom tables need no label.
 The compatible expectation onto an intermediate is the ``phi``-orthogonal
 projection onto it.
 
@@ -55,8 +57,8 @@ class CondExpectation:
     A table from outside (``values``, ``dim A x n x n``) is kept as given, so
     the six-axiom engine and ``verify`` judge it as given; ``W`` and ``phi`` are
     read off it on first use. An expectation the library derives is built by
-    ``_spanned`` and keeps no table: its ``values`` are rebuilt as
-    ``W . flat(B)`` on each read.
+    ``_spanned`` straight from its ``W`` and keeps no table: its ``values`` are
+    rebuilt as ``W . flat(B)`` on each read.
     """
 
     def __init__(self, inclusion: Inclusion, values: np.ndarray):
@@ -64,17 +66,15 @@ class CondExpectation:
         self._table = np.asarray(values, dtype=complex)
 
     @classmethod
-    def _spanned(
-        cls, inclusion: Inclusion, coeffs: np.ndarray, stack: np.ndarray | None = None
-    ) -> CondExpectation:
-        """The expectation with ``E(a_s) = sum_t coeffs[s, t] stack_t``, for a stack of
-        matrices in B (B's basis if None). ``W`` and ``phi`` are read off that table
-        one ``linalg.batches`` batch at a time, with the same arithmetic as from
-        the table given whole, and the table is not kept."""
+    def _spanned(cls, inclusion: Inclusion, w: np.ndarray) -> CondExpectation:
+        """The expectation with ``E(a_s) = sum_t W[s, t] b_t`` on B's basis ``b_t``,
+        held by ``W`` and its state ``phi(a_s) = sum_t W[s, t] tr(b_t) / n``; no
+        value table is formed."""
         exp = cls.__new__(cls)
         exp.inclusion, exp._table = inclusion, None
-        flat = inclusion.small._flat if stack is None else stack.reshape(len(stack), -1)
-        exp._held = _read_table(inclusion, lambda part: coeffs[part] @ flat)
+        b = inclusion.small
+        traces = np.trace(b.basis, axis1=1, axis2=2) / b.ambient_dim
+        exp._held = (w, w @ traces)
         return exp
 
     @property
@@ -101,8 +101,17 @@ class CondExpectation:
 
     @cached_property
     def _held(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(W, phi)`` of a table from outside, read on first use."""
-        return _read_table(self.inclusion, lambda part: self._table[part])
+        """``(W, phi)`` of a table from outside, ``W = coords_B(values)`` and
+        ``phi(a_s) = tr(values[s]) / n``, read on first use one batch at a time."""
+        a, b = self.big, self.small
+        n = a.ambient_dim
+        w = np.empty((a.dim, b.dim), dtype=complex)
+        phi = np.empty(a.dim, dtype=complex)
+        for part in batches(a.dim, n * n):
+            table = self._table[part].reshape(-1, n, n)
+            w[part] = b.coords_many(table)
+            phi[part] = np.trace(table, axis1=1, axis2=2) / n
+        return w, phi
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply_stack(np.asarray(x, dtype=complex)[None])[0]
@@ -140,20 +149,6 @@ class CondExpectation:
     def _density_adjoint(self) -> np.ndarray:
         """``rho*`` for the induced state's density ``rho = sum_s phi(a_s) a_s*``."""
         return self.big.reconstruct(np.conj(self._held[1]))
-
-
-def _read_table(inc: Inclusion, rows) -> tuple[np.ndarray, np.ndarray]:
-    """``W = coords_B(values)`` and ``phi(a_s) = tr(values[s]) / n`` of a value table
-    given one batch at a time, ``rows(part) = values[part]``."""
-    a, b = inc.big, inc.small
-    n = a.ambient_dim
-    w = np.empty((a.dim, b.dim), dtype=complex)
-    phi = np.empty(a.dim, dtype=complex)
-    for part in batches(a.dim, n * n):
-        table = rows(part).reshape(-1, n, n)
-        w[part] = b.coords_many(table)
-        phi[part] = np.trace(table, axis1=1, axis2=2) / n
-    return w, phi
 
 
 def _axiom_residuals(exp: CondExpectation, tol: Tolerances):

@@ -322,6 +322,41 @@ def tower_expectations(exp, cis, ctx) -> dict:
     return named
 
 
+def test_direct_coordinates_match_the_value_table(suite_d4):
+    # every derived expectation is held by the coefficients its constructor has: they
+    # equal the B-coordinates and state read off the value table they span, the
+    # dual's being lambda of its A-coordinates D
+    def table_read(e, table):
+        return e.small.coords_many(table), np.trace(table, axis1=1, axis2=2) / e.big.ambient_dim
+
+    def dual_table(bc):
+        return np.tensordot(bc.dual_coords, bc.lambda_stack, axes=(1, 0))
+
+    rep = sa.group_algebra(sa.dihedral(4))
+    exp = sa.trace_preserving(
+        sa.Inclusion(
+            big=sa.tensor_by_factor(rep.algebra, 2),
+            small=sa.tensor_by_factor(rep.subalgebra(sa.trivial(4)), 2),
+        )
+    )
+    cis = [sa.make_compatible(exp, sa.tensor_by_factor(rep.subalgebra(m), 2)) for m in D4_PROPER]
+    tensor_ctx, ctx = sa.AngleContext(exp), suite_d4.ctx
+    cases = [
+        (e, e.values)
+        for tower in (
+            tower_expectations(suite_d4.expectation, suite_d4.compat, ctx),
+            tower_expectations(exp, cis, tensor_ctx),
+        )
+        for name, e in tower.items()
+        if name != "E1"
+    ]
+    cases += [(context.dual, dual_table(context.bc)) for context in (ctx, ctx.upper, tensor_ctx)]
+    for e, table in cases:
+        w, phi = table_read(e, table)
+        assert np.abs(e.small_coords - w).max() < 1e-13
+        assert np.abs(e._held[1] - phi).max() < 1e-13
+
+
 def test_state_min_eigenvalue_is_each_gram_floor():
     # on every expectation of the tower the density's least eigenvalue is the
     # least eigenvalue of the state's Gram matrix on the big algebra
@@ -448,8 +483,27 @@ class TestPairKernel:
 
 
 class TestSmallestPicture:
-    """The definition route's norms, taken in A through lambda^{-1} and on the
-    ranges of the z's, against the same norms taken in lambda(A) and M1."""
+    """The definition route's norms, taken in A (``E1`` read from its
+    A-coordinates) and on the ranges of the z's, against the same norms taken
+    in lambda(A) and M1."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dual_read_in_a_is_the_dual(self, seed):
+        # lambda of E1(x) read in A is E1(x) itself, on both floors, for random x in
+        # M1 and for every product z_P z_Q the definition route reads
+        _, cis, ctx = conjugated_d4(seed)
+        rng = np.random.default_rng(seed)
+        floors = [(ctx, cis), (ctx.upper, [ctx.first_floor(cis[i]) for i in (0, 7)])]
+        for context, floor_cis in floors:
+            bc, dual = context.bc, context.dual
+            z = [context.jones_difference(ci) for ci in floor_cis]
+            stack = np.stack(
+                [bc.m1.random_element(rng) for _ in range(4)]
+                + [z_p @ z_q for z_p, z_q in itertools.product(z, repeat=2)]
+            )
+            read = bc.dual_in_algebra(stack)
+            drift = sa.linalg.op_norms(bc.lambda_many(read) - dual.apply_many(stack))
+            assert drift.max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_range_rank_is_dim_p_minus_dim_b(self, seed):
@@ -506,16 +560,6 @@ class TestMembershipGuard:
         ctx = sa.AngleContext(exp)
         ctx._cache(p)["jones"] = 1.5 * ctx.jones_projection(p)
         with pytest.raises(InvariantError, match="not a projection"):
-            sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
-
-    def test_singular_lambda_rejected(self, suite_s3):
-        # E1 is read in A through lambda^{-1}, which a rank-deficient lambda(A) basis lacks
-        exp, p, q = suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[-1]
-        ctx = sa.AngleContext(exp)
-        ctx.dual  # built on the true lambda
-        stack = ctx.bc.lambda_stack
-        ctx.bc.lambda_stack = np.concatenate([stack[:1], stack[:1], stack[2:]])
-        with pytest.raises(InvariantError, match="lambda is singular"):
             sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
 
 

@@ -313,10 +313,18 @@ class TestMakeCompatible:
                 sa.make_compatible(exp, sa.from_span(3, span))
             assert err.value.residual > 0.5, name
         # the spread of log rho, log 6, is far above eq_tol: every residual is the
-        # commutators' distance to P, none the spread bound
+        # commutators' distance to P, none the spread bound; the spread still bounds
+        # every commutator's norm |[log rho, p_s]|_2 (up to 1.37 here) and so every
+        # residual (up to 1.02)
+        spread = np.log(6.0)
+        log_rho = np.diag(np.log([1.8, 0.9, 0.3])).astype(complex)  # rho = 3 h
         for name, span in {**compatible, **incompatible}.items():
             p = sa.from_span(3, span)
-            assert _modular_residual(exp, p, DEFAULT_TOLERANCES) == commutator_residual(exp, p)
+            residual = commutator_residual(exp, p)
+            assert _modular_residual(exp, p, DEFAULT_TOLERANCES) == residual
+            commutators = log_rho @ p.basis - p.basis @ log_rho
+            norms = np.linalg.norm(commutators.reshape(p.dim, -1), axis=1) / np.sqrt(3)
+            assert norms.max() <= spread and residual <= spread, name
 
     def test_tracial_first_floor_decided_by_the_spread(self, suite_d4, monkeypatch):
         # the dual of a tracial tower has a scalar density: the spread of log rho
@@ -330,8 +338,6 @@ class TestMakeCompatible:
         residual = _modular_residual(ctx.dual, floor, DEFAULT_TOLERANCES)
         assert projected == []
         assert 0.0 <= residual < 1e-13
-        monkeypatch.undo()
-        assert commutator_residual(ctx.dual, floor) <= residual
 
     @settings(max_examples=60)  # about one example in five is incompatible
     @given(states_with_intermediates())
