@@ -85,8 +85,10 @@ class AngleContext:
     the index and its inverse. The module basis and index are
     built once: by the basic construction when it is built first, as when
     both routes run, or alone for the quasi-basis route. An intermediate is
-    admitted once, when first seen on either route or floor: it must have
-    been built for this context's expectation. Per intermediate,
+    admitted once, when first seen on either route or floor, by the
+    certificate ``make_compatible`` issued: its ``expectation`` must be this
+    context's expectation object, so an equal but distinct one is refused, as
+    a pair's context is. Per intermediate,
     each computed on first use: the restricted module basis and index
     (quasi-basis route), the Jones projection (``bc.jones_projection``, the
     map that gives ``e``), ``z_P = e_P - e`` with the
@@ -147,21 +149,19 @@ class AngleContext:
 
     def _cache(self, ci: CompatibleIntermediate) -> dict:
         """The intermediate's cache, made when it is first seen and admitted:
-        its expectation maps this context's A onto it, its restriction maps it
-        onto this context's B, and the two compose to this context's E,
-        ``E|_P(F(a_s)) = E(a_s)`` on the basis of A that F's table is indexed
-        by, so it was built for this E."""
+        ``ci.expectation`` must be this context's expectation, the E for which
+        ``make_compatible`` checked ``Inclusion(P, B)`` and ``E|_P o F = E``.
+        A refusal names a different inclusion when the spans show one."""
         cache = self._per_intermediate.get(id(ci))
         if cache is None:
             exp, tol = self.expectation, self.tol
-            if not (
-                same_span(ci.F.big, exp.big, tol)
-                and same_span(ci.E_restricted.small, exp.small, tol)
-            ):
-                raise ArgumentError("intermediate was built for a different inclusion")
-            drift = ci._composition_residual(exp, tol)
-            if drift >= tol.eq_tol:
-                raise ArgumentError(f"intermediate was built for another expectation ({drift:.3e})")
+            if ci.expectation is not exp:
+                if not (
+                    same_span(ci.F.big, exp.big, tol)
+                    and same_span(ci.E_restricted.small, exp.small, tol)
+                ):
+                    raise ArgumentError("intermediate was built for a different inclusion")
+                raise ArgumentError("intermediate was built for another expectation")
             cache = self._per_intermediate[id(ci)] = {"ci": ci}
         return cache
 
@@ -179,7 +179,7 @@ class AngleContext:
 
     def jones_projection(self, ci: CompatibleIntermediate) -> np.ndarray:
         """``e_P``, the Jones projection of ``F_P``. It absorbs ``e``,
-        ``e_P e = e = e e_P``: admission checks ``E|_P o F = E``, which is
+        ``e_P e = e = e e_P``: ``make_compatible`` checked ``E|_P o F = E``, which is
         ``e e_P = e``, and ``e_P`` is checked self-adjoint; ``jones_difference``
         checks ``e_P - e`` to be a projection, which holds only if ``e <= e_P``."""
         cache = self._cache(ci)
@@ -252,13 +252,19 @@ class AngleContext:
 
 
 def _pair_context(exp: CondExpectation, p, q, tol: Tolerances, ctx: AngleContext | None):
-    """``ctx``, checked to be built for ``exp``, or a new context; the angle
-    is undefined when either intermediate equals the small algebra."""
+    """``ctx``, checked to be built for ``exp`` at ``tol``, or a new context, with
+    both intermediates admitted; the angle is undefined when either intermediate
+    equals the small algebra. Admission ties ``P`` to ``make_compatible``'s checked
+    ``B in P``, so ``P = B`` exactly when their dimensions agree."""
     if ctx is None:
         ctx = AngleContext(exp, tol)
     elif ctx.expectation is not exp:
         raise ArgumentError("context was built for a different expectation")
-    if same_span(p.P, exp.small, tol) or same_span(q.P, exp.small, tol):
+    elif ctx.tol != tol:
+        raise ArgumentError("context was built at other tolerances")
+    ctx._cache(p)
+    ctx._cache(q)
+    if p.P.dim == exp.small.dim or q.P.dim == exp.small.dim:
         raise DegenerateDenominatorError(
             "angle is undefined when the intermediate equals the small algebra"
         )

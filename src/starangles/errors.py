@@ -84,11 +84,5 @@ class DegenerateDenominatorError(NumericalError):
     """Angle requested for an intermediate equal to the small algebra."""
 
 
-class ExteriorAngleUndefinedError(NumericalError):
+class ExteriorAngleUndefinedError(IncompatibilityError):
     """First-floor algebras are not compatible with the dual expectation."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        if residual is not None:
-            message += f" (residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual

@@ -357,19 +357,23 @@ class CompatibleIntermediate:
 
     ``make_compatible`` builds both from Takesaki's theorem; neither table
     runs the six-axiom engine, and ``verify`` is their diagnostic.
+    ``expectation`` is the E it was built for: the one whose
+    ``Inclusion(P, B)`` and ``E|_P o F = E`` ``make_compatible`` checked, so
+    an ``AngleContext`` admits the intermediate by that object alone.
     """
 
     P: StarAlgebra
     F: CondExpectation
     E_restricted: CondExpectation
+    expectation: CondExpectation
 
-    def _composition_residual(self, exp: CondExpectation, tol: Tolerances) -> float:
+    def _composition_residual(self, tol: Tolerances) -> float:
         """``max_s |E|_P(F(a_s)) - E(a_s)|`` over the basis ``a_s`` that F is indexed
         by, as ``max_op_norm`` decides it against ``eq_tol``. The map is linear, so on
-        a basis of ``exp``'s big algebra this decides ``E|_P o F = E``. ``E|_P`` reads
-        its argument's P-coordinates, so ``E|_P(F(a_s))`` has the B-coordinates
-        ``(W_F W_{E|_P})[s]``, and no ``F(a_s)`` is formed."""
-        e_p, f, a = self.E_restricted, self.F, self.F.big
+        a basis of ``expectation``'s big algebra this decides ``E|_P o F = E``.
+        ``E|_P`` reads its argument's P-coordinates, so ``E|_P(F(a_s))`` has the
+        B-coordinates ``(W_F W_{E|_P})[s]``, and no ``F(a_s)`` is formed."""
+        exp, e_p, f, a = self.expectation, self.E_restricted, self.F, self.F.big
         composed = f.small_coords @ e_p.small_coords
         n = a.ambient_dim
         return max(
@@ -458,8 +462,8 @@ def make_compatible(
 
     coeffs = np.linalg.solve(exp.state_gram(p, p), exp.state_gram(p, a))  # (dimP, dimA)
     f = CondExpectation._spanned(into_big, coeffs.T)
-    ci = CompatibleIntermediate(P=p, F=f, E_restricted=restricted)
-    compat = ci._composition_residual(exp, tol)
+    ci = CompatibleIntermediate(P=p, F=f, E_restricted=restricted, expectation=exp)
+    compat = ci._composition_residual(tol)
     if compat >= tol.eq_tol:
         raise IncompatibilityError("tower composition does not reproduce E", compat)
     return ci

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,11 +67,13 @@ class TestInteriorAngle:
             assert fwd.cos_value == pytest.approx(bwd.cos_value, abs=1e-8)
 
     def test_small_algebra_rejected(self, suite_d4):
-        ci_b = sa.make_compatible(suite_d4.expectation, suite_d4.small)
-        with pytest.raises(DegenerateDenominatorError):
-            sa.interior_angle(
-                suite_d4.expectation, ci_b, suite_d4.compat[0], ctx=suite_d4.ctx
-            )
+        # P = B is decided by dim P = dim B once P is admitted, in either slot and floor
+        exp = suite_d4.expectation
+        ci_b, ci = sa.make_compatible(exp, suite_d4.small), suite_d4.compat[0]
+        for pair in ((ci_b, ci), (ci, ci_b)):
+            for angle_of in (sa.interior_angle, sa.exterior_angle):
+                with pytest.raises(DegenerateDenominatorError):
+                    angle_of(exp, *pair, ctx=suite_d4.ctx)
 
     def test_group_closed_form_on_every_d4_pair(self, suite_d4):
         g, h = suite_d4.group, suite_d4.small_group
@@ -289,6 +292,9 @@ class TestExteriorAngle:
                 suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[1], ctx=ctx
             )
         assert err.value.residual == 0.5
+        # an undefined exterior angle is an incompatibility: the first floor is not
+        # compatible with the dual
+        assert isinstance(err.value, IncompatibilityError)
 
 
 # the 8 proper intermediate subgroups of D4 over the trivial group
@@ -597,6 +603,55 @@ class TestAdmission:
         ctx = sa.AngleContext(sa.trace_preserving(exp.inclusion))
         with pytest.raises(ArgumentError, match="different expectation"):
             sa.exterior_angle(exp, p, q, ctx=ctx)
+
+    def test_equal_but_distinct_expectation_refused(self, suite_d4):
+        # a second trace_preserving(inc) is the same map, but not the E whose
+        # E|_P o F = E make_compatible checked for these intermediates
+        twin = sa.trace_preserving(suite_d4.expectation.inclusion)
+        p, q = suite_d4.compat[:2]
+        for path in ("quasibasis", "definition"):
+            with pytest.raises(ArgumentError, match="another expectation"):
+                sa.interior_angle(twin, p, q, path=path, ctx=sa.AngleContext(twin))
+
+    def test_admission_reads_the_certificate(self, suite_d4, monkeypatch):
+        # admitting a pair compares objects: no span projection, no composition
+        # residual; the angle's one span comparison is P against Q
+        from starangles import angle as angle_module
+
+        calls = []
+        same_span = angle_module.same_span
+        residual = sa.CompatibleIntermediate._composition_residual
+
+        def span_spy(a, b, *args):
+            calls.append(("same_span", a, b))
+            return same_span(a, b, *args)
+
+        def residual_spy(ci, *args):
+            calls.append(("composition", ci))
+            return residual(ci, *args)
+
+        monkeypatch.setattr(angle_module, "same_span", span_spy)
+        monkeypatch.setattr(sa.CompatibleIntermediate, "_composition_residual", residual_spy)
+        exp = suite_d4.expectation
+        p, q = suite_d4.compat[:2]
+        ctx = sa.AngleContext(exp)
+        assert angle_module._pair_context(exp, p, q, DEFAULT_TOLERANCES, ctx) is ctx
+        assert set(ctx._per_intermediate) == {id(p), id(q)} and calls == []
+        sa.interior_angle(exp, p, q, path="quasibasis", ctx=ctx)
+        assert calls == [("same_span", p.P, q.P)]
+
+    def test_context_at_other_tolerances_refused(self, suite_d4):
+        # a context's caches were judged at its own tolerances, so a call at others
+        # would judge route agreement at one policy and everything else at another
+        exp = suite_d4.expectation
+        p, q = suite_d4.compat[:2]
+        loose = replace(DEFAULT_TOLERANCES, angle_tol=0.5)
+        with pytest.raises(ArgumentError, match="other tolerances"):
+            sa.interior_angle(exp, p, q, tol=loose, ctx=suite_d4.ctx)
+        with pytest.raises(ArgumentError, match="other tolerances"):
+            sa.exterior_angle(exp, p, q, tol=loose, ctx=suite_d4.ctx)
+        # equal tolerances built apart are the same policy
+        sa.interior_angle(exp, p, q, tol=replace(DEFAULT_TOLERANCES), ctx=suite_d4.ctx)
 
 
 class TestAngleMatrix:

@@ -104,12 +104,32 @@ class TestBuild:
             expected = len(suite.group) * sa.index(suite.group, suite.small_group)
             assert suite.ctx.bc.dim_m1 == expected, suite.name
 
-    def test_commutant_identity_enforced(self, all_suites):
-        # build() raises unless {e}' in lambda(A) equals lambda(B) exactly
+    def test_commutant_identity_enforced(self, all_suites, suite_d4):
+        # floor_algebra decides {proj}' in lambda(A) = lambda(S) from [lambda(S), proj]
+        # alone; the null-space oracle agrees on every M1, every first floor and D4's M2
+        def floors(suite):
+            ctx = suite.ctx
+            yield ctx.bc, ctx.bc.e_proj, suite.small
+            for ci in suite.compat:
+                yield ctx.bc, ctx.jones_projection(ci), ci.P
+            if suite is suite_d4:
+                yield ctx.upper.bc, ctx.upper.bc.e_proj, ctx.dual.small
+
         for suite in all_suites:
-            bc = suite.ctx.bc
-            commutant = sa.algebra.commutant_within(bc.lambda_algebra, [bc.e_proj])
-            assert commutant.dim == suite.small.dim, suite.name
+            for bc, proj, small in floors(suite):
+                commutant = sa.algebra.commutant_within(bc.lambda_algebra, [proj])
+                assert commutant.dim == small.dim, suite.name
+                lam_s = bc.lambda_many(small.basis)
+                assert commutant._max_span_residual(lam_s) < DEFAULT_TOLERANCES.eq_tol
+
+    def test_floor_of_the_wrong_projection_rejected(self, suite_s3):
+        # e_P fixes B's coordinates, but e_P lambda(a) e_P = lambda(F_P(a)) e_P, not
+        # lambda(E(a)) e_P: the compression identity refuses it before any commutator
+        ctx = suite_s3.ctx
+        e_p = ctx.jones_projection(suite_s3.compat[0])
+        with pytest.raises(ConstructionError) as err:
+            basic.floor_algebra(ctx.bc, suite_s3.expectation, ctx.bc.module_basis, e_p)
+        assert err.value.prop == "e lambda(a) e = lambda(E(a)) e"
 
     @pytest.mark.parametrize("floor", ["first", "upper"])
     def test_lambda_by_linearity(self, suite_d4, floor):
