@@ -81,17 +81,20 @@ class AngleContext:
     """Caches the shared machinery across angle computations.
 
     Per context: the basic construction, which reads ``E1`` in A
-    (``bc.dual_in_algebra``), the dual expectation, the module basis, and
-    the index and its inverse. The module basis and index are
+    (``bc.dual_in_algebra``) by the push-down lemma, the dual expectation, the
+    module basis, and the index and its inverse. The module basis and index are
     built once: by the basic construction when it is built first, as when
-    both routes run, or alone for the quasi-basis route. An intermediate is
+    both routes run, or alone for the quasi-basis route. Neither route builds
+    a basis of M1: it is built when the dual expectation is, which the first
+    floors need. An intermediate is
     admitted once, when first seen on either route or floor, by the
     certificate ``make_compatible`` issued: its ``expectation`` must be this
     context's expectation object, so an equal but distinct one is refused, as
     a pair's context is. Per intermediate,
     each computed on first use: the restricted module basis and index
     (quasi-basis route), the Jones projection (``bc.jones_projection``, the
-    map that gives ``e``), ``z_P = e_P - e`` with the
+    map that gives ``e``), ``z_P = e_P - e``, checked to lie in M1 by the
+    push-down identity (``bc.m1_residual``), with the
     isometry ``Z_P`` onto its range, the first-floor algebra ``P1``
     (``basic.floor_algebra``, the builder and checks of M1) with its
     compatible expectation, and the two routes' denominators,
@@ -190,16 +193,19 @@ class AngleContext:
     def jones_difference(self, ci: CompatibleIntermediate) -> np.ndarray:
         """``z_P = e_P - e``, checked once to lie in M1 and to be a projection.
 
-        Every product ``z_P z_Q`` the definition route applies E1 to then lies
-        in M1 too, as M1 is closed under products. The isometry ``Z_P`` onto
-        its range (``jones_range``) is cached beside it: the eigenvectors of
-        eigenvalue 1, every eigenvalue being within ``eq_tol`` of 0 or 1.
+        Membership is the push-down identity ``z_P = sum_j lambda(b_j) e
+        lambda(m_j)*`` (``bc.m1_residual``), which reads only the module basis
+        of E, not the intermediate's, and no basis of M1. Every product
+        ``z_P z_Q`` the definition route applies E1 to then lies in M1 too, as
+        M1 is closed under products. The isometry ``Z_P`` onto its range
+        (``jones_range``) is cached beside it: the eigenvectors of eigenvalue
+        1, every eigenvalue being within ``eq_tol`` of 0 or 1.
         """
         cache = self._cache(ci)
         if "z" not in cache:
             z = self.jones_projection(ci) - self.bc.e_proj
-            member, outside = self.bc.m1.contains(z, self.tol)
-            if not member:
+            outside = self.bc.m1_residual(z)
+            if outside > self.tol.eq_tol:
                 raise InvariantError(f"e_P - e is not in M1 (residual {outside:.3e})")
             w, v = np.linalg.eigh((z + adjoint(z)) / 2.0)
             off = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
@@ -244,7 +250,7 @@ class AngleContext:
         cache = self._cache(ci)
         if "floor_one" not in cache:
             module = orthonormal_basis(ci.F, self.tol)
-            algebra_one, *_ = basic.floor_algebra(
+            algebra_one = basic.floor_algebra(
                 self.bc, ci.F, module, self.jones_projection(ci), self.tol
             )
             cache["floor_one"] = make_compatible(self.dual, algebra_one, self.tol)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import starangles as sa
+from starangles import basic
 from starangles.errors import ArgumentError, DegenerateDenominatorError, InvariantError
 from starangles.expectation import _state_min_eigenvalue
 from starangles.linalg import DEFAULT_TOLERANCES, adjoint, op_norm
@@ -331,12 +332,12 @@ def tower_expectations(exp, cis, ctx) -> dict:
 def test_direct_coordinates_match_the_value_table(suite_d4):
     # every derived expectation is held by the coefficients its constructor has: they
     # equal the B-coordinates and state read off the value table they span, the
-    # dual's being lambda of its A-coordinates D
+    # dual's being lambda of the A-coordinates M1_flat R its push-down reader gives
     def table_read(e, table):
         return e.small.coords_many(table), np.trace(table, axis1=1, axis2=2) / e.big.ambient_dim
 
     def dual_table(bc):
-        return np.tensordot(bc.dual_coords, bc.lambda_stack, axes=(1, 0))
+        return np.tensordot(bc.m1._flat @ bc._dual_reader, bc.lambda_stack, axes=(1, 0))
 
     rep = sa.group_algebra(sa.dihedral(4))
     exp = sa.trace_preserving(
@@ -548,16 +549,17 @@ class TestSmallestPicture:
 
 
 class TestMembershipGuard:
-    def test_z_outside_m1_rejected(self, suite_s3):
-        # lambda(A) does not contain e, so z_P = e_P - e lies outside it
-        exp, p, q = suite_s3.expectation, suite_s3.compat[0], suite_s3.compat[-1]
-        assert sa.interior_angle(exp, p, q, path="definition", ctx=suite_s3.ctx)
+    def test_z_outside_m1_rejected(self, suite_d4_r2):
+        # a Haar unitary on L2(A) moves e_P off M1, so u e_P u* - e is no push-down sum;
+        # over a nontrivial B, M1 (dim 32) is not every matrix on L2(A) (dim 64)
+        exp, p, q = suite_d4_r2.expectation, suite_d4_r2.compat[0], suite_d4_r2.compat[-1]
+        assert sa.interior_angle(exp, p, q, path="definition", ctx=suite_d4_r2.ctx)
         ctx = sa.AngleContext(exp)
-        ctx.dual  # built on the true M1
-        ctx.bc.m1 = ctx.bc.lambda_algebra
+        u = random_unitary(np.random.default_rng(13), ctx.bc.rep_dim)
+        ctx._cache(p)["jones"] = u @ ctx.jones_projection(p) @ adjoint(u)
         with pytest.raises(InvariantError, match="not in M1"):
             sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
-        # the quasi-basis route does not read M1
+        # the quasi-basis route does not read the Jones projections
         sa.interior_angle(exp, p, q, path="quasibasis", ctx=ctx)
 
     def test_z_off_a_projection_rejected(self, suite_s3):
@@ -567,6 +569,40 @@ class TestMembershipGuard:
         ctx._cache(p)["jones"] = 1.5 * ctx.jones_projection(p)
         with pytest.raises(InvariantError, match="not a projection"):
             sa.interior_angle(exp, p, q, path="definition", ctx=ctx)
+
+
+class TestBasesOnDemand:
+    """A floor's basis is built only where an algebra is read: the definition route
+    builds none, the exterior angle M1 (for the dual) and each first floor, and
+    neither route one floor up builds M2's."""
+
+    @pytest.fixture
+    def bases_built(self, monkeypatch):
+        sizes = []  # the dimension of L2 each basis acts on
+        pair_basis = basic._pair_basis
+
+        def spy(lam_m, lam_s, proj, tol):
+            sizes.append(proj.shape[0])
+            return pair_basis(lam_m, lam_s, proj, tol)
+
+        monkeypatch.setattr(basic, "_pair_basis", spy)
+        return sizes
+
+    def test_definition_route_builds_no_basis(self, suite_d4, bases_built):
+        exp, p, q = suite_d4.expectation, suite_d4.compat[0], suite_d4.compat[-1]
+        sa.interior_angle(exp, p, q, path="definition", ctx=sa.AngleContext(exp))
+        assert bases_built == []
+
+    def test_second_floor_builds_m1_and_the_first_floors_only(self, suite_d4, bases_built):
+        exp, p, q = suite_d4.expectation, suite_d4.compat[0], suite_d4.compat[-1]
+        ctx = sa.AngleContext(exp)
+        sa.exterior_angle(exp, p, q, ctx=ctx, second_floor=True)
+        sa.exterior_angle(exp, q, p, ctx=ctx, second_floor=True)
+        # M1, P1 and Q1, all on L2(A); M2 would act on L2(M1)
+        assert bases_built == [exp.big.dim] * 3
+        bases_built.clear()
+        sa.exterior_angle(exp, p, p, ctx=sa.AngleContext(exp), second_floor=True)
+        assert bases_built == [exp.big.dim] * 2
 
 
 class TestAdmission:
